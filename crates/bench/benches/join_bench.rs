@@ -16,9 +16,12 @@ use amnesia_columnar::compress::{block_decodes, Encoding};
 use amnesia_columnar::{RowId, Schema, Table, Value};
 use amnesia_core::experiments::{join_precision_experiment, referential_actions_table, Scale};
 use amnesia_engine::join::{hash_join, hash_join_count, JoinResult, JoinStats};
-use amnesia_engine::parallel::par_hash_join;
-use amnesia_engine::ForgetVisibility;
+use amnesia_engine::physical::JoinSpec;
+use amnesia_engine::{
+    ExecMode, Executor, ForgetVisibility, PhysItem, PhysScan, PhysicalPlan, PlanHint,
+};
 use amnesia_util::SimRng;
+use amnesia_workload::query::AggKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_scale() -> Scale {
@@ -111,6 +114,28 @@ fn tiered_datasets() -> Vec<JoinDataset> {
                 .collect(),
         ),
     ]
+}
+
+/// `SELECT COUNT(*) FROM parent JOIN child ON parent.0 = child.0`,
+/// building on the parent side.
+fn count_join_plan() -> PhysicalPlan {
+    PhysicalPlan {
+        scans: vec![PhysScan::default(), PhysScan::default()],
+        join: Some(JoinSpec {
+            left_col: 0,
+            right_col: 0,
+            display: "p.key = c.fk".into(),
+        }),
+        items: vec![PhysItem::Aggregate {
+            kind: AggKind::Count,
+            arg: None,
+            display: "count".into(),
+        }],
+        group_by: None,
+        order_by: None,
+        limit: None,
+        hint: PlanHint::SyntacticOrder,
+    }
 }
 
 fn join(c: &mut Criterion) {
@@ -257,15 +282,16 @@ fn join(c: &mut Criterion) {
                 ))
             })
         });
+        let par = Executor::default().with_exec_mode(ExecMode::Parallel(4));
+        let plan = count_join_plan();
+        let counted = par.execute_plan(&[&frozen_parent, &frozen], &[], &plan);
+        assert_eq!(counted.stats.join_pairs, want, "{name}: parallel plan join");
         group.bench_function("par_tiered_frozen_4t", |b| {
             b.iter(|| {
-                black_box(par_hash_join(
-                    black_box(&frozen_parent),
-                    0,
-                    black_box(&frozen),
-                    0,
-                    ForgetVisibility::ActiveOnly,
-                    4,
+                black_box(par.execute_plan(
+                    &[black_box(&frozen_parent), black_box(&frozen)],
+                    &[],
+                    &plan,
                 ))
             })
         });

@@ -1,14 +1,16 @@
-//! Parallel kernel bench: scan and aggregate speedup vs thread count on
-//! a large amnesiac table (30 % forgotten).
+//! Parallel scan bench: scan and aggregate speedup vs thread count on a
+//! large amnesiac table (30 % forgotten). The `threads/N` legs run the
+//! workload query's physical plan through `Executor::execute_plan` on a
+//! morsel pool of N workers.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use amnesia_columnar::{Schema, Table};
-use amnesia_engine::kernels;
-use amnesia_engine::parallel::{par_aggregate_active, par_range_scan_active};
+use amnesia_engine::{kernels, Aux, ExecMode, Executor, PhysicalPlan};
 use amnesia_util::SimRng;
 use amnesia_workload::query::{AggKind, RangePredicate};
+use amnesia_workload::Query;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn big_table(n: usize) -> Table {
@@ -43,14 +45,12 @@ fn parallel(c: &mut Criterion) {
     scan.bench_function("serial", |b| {
         b.iter(|| black_box(kernels::range_scan_active(&t, 0, black_box(pred))))
     });
+    let scan_plan = PhysicalPlan::from_query(0, &Query::Range(pred));
     for threads in [2usize, 4, 8] {
-        scan.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| black_box(par_range_scan_active(&t, 0, black_box(pred), threads)))
-            },
-        );
+        let ex = Executor::default().with_exec_mode(ExecMode::Parallel(threads));
+        scan.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
+            b.iter(|| black_box(ex.execute_plan(&[&t], &[Aux::default()], &scan_plan)))
+        });
     }
     scan.finish();
 
@@ -68,30 +68,22 @@ fn parallel(c: &mut Criterion) {
     });
     agg.bench_function("serial", |b| {
         b.iter(|| {
-            black_box(kernels::aggregate_active(
-                &t,
-                0,
-                Some(black_box(pred)),
-                AggKind::Avg,
-            ))
+            let (state, _) = kernels::aggregate_state_active(&t, 0, Some(black_box(pred)));
+            black_box(state.finalize(AggKind::Avg))
         })
     });
+    let agg_plan = PhysicalPlan::from_query(
+        0,
+        &Query::Aggregate {
+            kind: AggKind::Avg,
+            predicate: Some(pred),
+        },
+    );
     for threads in [2usize, 4, 8] {
-        agg.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(par_aggregate_active(
-                        &t,
-                        0,
-                        Some(black_box(pred)),
-                        AggKind::Avg,
-                        threads,
-                    ))
-                })
-            },
-        );
+        let ex = Executor::default().with_exec_mode(ExecMode::Parallel(threads));
+        agg.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
+            b.iter(|| black_box(ex.execute_plan(&[&t], &[Aux::default()], &agg_plan)))
+        });
     }
     agg.finish();
 }

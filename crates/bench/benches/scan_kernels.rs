@@ -4,8 +4,7 @@
 //! zone-map pruned scan vs sorted-index probe, and the streaming
 //! aggregate kernel, at 20 % forgotten tuples. The `vectorized_vs_scalar`
 //! group measures the word-at-a-time batch kernels against the
-//! row-at-a-time references (`batch::scalar`) at 1M rows — the numbers
-//! backing the vectorization PR.
+//! row-at-a-time references (`batch::scalar`) at 1M rows.
 
 use std::hint::black_box;
 
@@ -13,13 +12,20 @@ use amnesia_bench::{forget_fraction, table_from_distribution};
 use amnesia_columnar::{SortedIndex, ZoneMap};
 use amnesia_distrib::DistributionKind;
 use amnesia_engine::batch::scalar;
-use amnesia_engine::kernels;
+use amnesia_engine::{kernels, ColPred};
 use amnesia_workload::query::{AggKind, RangePredicate};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
-/// Vectorized vs scalar at 1M rows: the selective scan, the count-only
-/// kernel, and the fused filter+aggregate, at two forgotten fractions.
+/// Vectorized vs scalar at 1M rows: the selective scan and the fused
+/// filter+aggregate, at two forgotten fractions.
+/// The fused filter+aggregate over column 0, finalized as AVG.
+fn avg(table: &amnesia_columnar::Table, pred: Option<RangePredicate>) -> Option<f64> {
+    kernels::aggregate_state_active(table, 0, pred)
+        .0
+        .finalize(AggKind::Avg)
+}
+
 fn vectorized_vs_scalar(c: &mut Criterion) {
     const N: usize = 1_000_000;
     for forgotten in [0.2f64, 0.5] {
@@ -36,12 +42,6 @@ fn vectorized_vs_scalar(c: &mut Criterion) {
         group.bench_function("scan_vectorized", |b| {
             b.iter(|| black_box(kernels::range_scan_active(&table, 0, black_box(pred))))
         });
-        group.bench_function("count_scalar", |b| {
-            b.iter(|| black_box(scalar::count_active_matches(&table, 0, black_box(pred))))
-        });
-        group.bench_function("count_vectorized", |b| {
-            b.iter(|| black_box(kernels::count_active_matches(&table, 0, black_box(pred))))
-        });
         group.bench_function("filter_agg_scalar", |b| {
             b.iter(|| {
                 black_box(scalar::aggregate_active(
@@ -53,20 +53,13 @@ fn vectorized_vs_scalar(c: &mut Criterion) {
             })
         });
         group.bench_function("filter_agg_vectorized", |b| {
-            b.iter(|| {
-                black_box(kernels::aggregate_active(
-                    &table,
-                    0,
-                    Some(black_box(pred)),
-                    AggKind::Avg,
-                ))
-            })
+            b.iter(|| black_box(avg(&table, Some(black_box(pred)))))
         });
         group.bench_function("whole_table_agg_scalar", |b| {
             b.iter(|| black_box(scalar::aggregate_active(&table, 0, None, AggKind::Avg)))
         });
         group.bench_function("whole_table_agg_vectorized", |b| {
-            b.iter(|| black_box(kernels::aggregate_active(&table, 0, None, AggKind::Avg)))
+            b.iter(|| black_box(avg(&table, None)))
         });
         group.finish();
     }
@@ -85,11 +78,12 @@ fn scan_kernels(c: &mut Criterion) {
     group.bench_function("full_active_scan", |b| {
         b.iter(|| black_box(kernels::range_scan_active(&table, 0, black_box(pred))))
     });
+    let preds = [ColPred::from_range(0, pred)];
     group.bench_function("full_scan_with_forgotten", |b| {
-        b.iter(|| black_box(kernels::range_scan_all(&table, 0, black_box(pred))))
-    });
-    group.bench_function("count_only", |b| {
-        b.iter(|| black_box(kernels::count_active_matches(&table, 0, black_box(pred))))
+        b.iter(|| {
+            let sel = kernels::selection_scan_all(&table, black_box(&preds));
+            black_box(kernels::selection_rows(&sel))
+        })
     });
     group.bench_function("zonemap_pruned_scan", |b| {
         b.iter(|| {
@@ -110,17 +104,10 @@ fn scan_kernels(c: &mut Criterion) {
 
     let mut agg = c.benchmark_group("aggregate_200k_rows");
     agg.bench_function("avg_whole_table", |b| {
-        b.iter(|| black_box(kernels::aggregate_active(&table, 0, None, AggKind::Avg)))
+        b.iter(|| black_box(avg(&table, None)))
     });
     agg.bench_function("avg_with_predicate", |b| {
-        b.iter(|| {
-            black_box(kernels::aggregate_active(
-                &table,
-                0,
-                Some(black_box(pred)),
-                AggKind::Avg,
-            ))
-        })
+        b.iter(|| black_box(avg(&table, Some(black_box(pred)))))
     });
     agg.finish();
 }

@@ -1400,6 +1400,43 @@ mod tests {
         assert_eq!(summarize[6], "0.0000");
         let model = &report.rows[5];
         assert_eq!(model[6], "0.0000");
+        // Every cell, pinned. The last column is the mean cost the
+        // access-path choice charges a range probe: a full scan of the
+        // hot rows (mark-only, tier, and deindex's complete scan), the
+        // sorted-index probe (delete), or a scan of the vacuumed table.
+        let expect = [
+            [
+                "mark-only",
+                "680",
+                "31.9",
+                "0",
+                "24",
+                "0.3215",
+                "0.0542",
+                "680",
+            ],
+            ["delete", "200", "16.9", "0", "24", "0.3215", "0.0542", "40"],
+            [
+                "deindex", "680", "38.2", "0", "24", "1.0000", "0.0542", "680",
+            ],
+            [
+                "tier", "680", "31.9", "480", "24", "0.3215", "0.0542", "680",
+            ],
+            [
+                "summarize",
+                "200",
+                "10.6",
+                "0",
+                "416",
+                "0.3215",
+                "0.0000",
+                "200",
+            ],
+            ["model", "200", "10.6", "0", "24", "0.3215", "0.0000", "200"],
+        ];
+        for (row, want) in report.rows.iter().zip(expect) {
+            assert_eq!(row, &want, "{}", want[0]);
+        }
     }
 
     #[test]
@@ -1529,6 +1566,17 @@ mod tests {
             count_err("model-128") <= count_err("model-16") + 0.05,
             "finer bins should not be much worse"
         );
+        // Every cell, pinned: the summary and micro-model fold-ins must
+        // not drift.
+        let expect = [
+            ["mark-only", "0.7052", "0.0117", "680", "24"],
+            ["summarize", "0.7052", "0.0117", "200", "416"],
+            ["model-16", "0.0524", "0.0147", "200", "2208"],
+            ["model-128", "0.0140", "0.0021", "200", "11616"],
+        ];
+        for (row, want) in report.rows.iter().zip(expect) {
+            assert_eq!(row, &want, "{}", want[0]);
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@ use amnesia_columnar::{
     ColdStore, DurabilityHook, Epoch, ModelStore, RowId, Schema, SortedIndex, SummaryStore, Table,
     Value, WalStats, WordZoneMap, ZoneMap,
 };
-use amnesia_engine::{Aux, CostModel, ExecResult, Executor, ForgetVisibility};
+use amnesia_engine::{
+    Aux, CostModel, ExecResult, Executor, ForgetVisibility, PhysicalPlan, QueryOutput,
+};
 use amnesia_util::{Result, SimRng};
 use amnesia_workload::Query;
 use serde::{Deserialize, Serialize};
@@ -454,7 +456,9 @@ impl AmnesiacStore {
     }
 
     /// Execute a query with the mode's visibility and auxiliary
-    /// structures.
+    /// structures: the query lowers onto a one-scan physical plan
+    /// ([`PhysicalPlan::from_query`]) that the executor's one entry
+    /// point runs.
     pub fn query(&self, q: &Query) -> ExecResult {
         let aux = Aux {
             zonemap: self.zonemap.as_ref(),
@@ -463,7 +467,16 @@ impl AmnesiacStore {
             summaries: matches!(self.mode, ForgetMode::Summarize).then_some(&self.summaries),
             models: self.models.as_ref(),
         };
-        self.executor.execute(&self.table, 0, q, &aux)
+        let plan = PhysicalPlan::from_query(0, q);
+        let res = self.executor.execute_plan(&[&self.table], &[aux], &plan);
+        let output = match q {
+            Query::Aggregate { .. } => QueryOutput::Agg(res.rows[0][0].as_f64()),
+            Query::Range(_) | Query::Point(_) => QueryOutput::Rows(res.row_ids),
+        };
+        ExecResult {
+            output,
+            stats: res.stats,
+        }
     }
 
     /// Explicitly recover a tuple from cold storage (paper §5: cold data
@@ -544,6 +557,21 @@ mod tests {
             .unwrap();
         store.end_batch().unwrap();
         store
+    }
+
+    #[test]
+    fn point_query_reaches_the_domain_edge() {
+        // `Point(i64::MAX)` is the inclusive range [MAX, MAX]; the
+        // half-open form `[MAX, MAX + 1)` cannot express it.
+        let mut store = AmnesiacStore::new(ForgetMode::MarkOnly);
+        store
+            .insert_batch(&[i64::MIN, -1, 0, i64::MAX, i64::MAX], 0)
+            .unwrap();
+        store.forget(RowId(4), 1).unwrap();
+        let rows = |q: Query| store.query(&q).output.rows().unwrap().to_vec();
+        assert_eq!(rows(Query::Point(i64::MAX)), vec![RowId(3)]);
+        assert_eq!(rows(Query::Point(i64::MIN)), vec![RowId(0)]);
+        assert_eq!(rows(Query::Point(0)), vec![RowId(2)]);
     }
 
     #[test]

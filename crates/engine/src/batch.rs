@@ -593,59 +593,6 @@ pub fn scan_active_into(
     }
 }
 
-/// Collect *all* physical rows in `[lo, hi)` matching `pred` (forgotten
-/// included) into `out` — the "complete scan" regime of paper §1.
-pub fn scan_all_into(
-    values: &[Value],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) {
-    let hi = hi.min(values.len());
-    if lo >= hi || pred.is_empty() {
-        return;
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    for wi in first..=last {
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        let sel = clip_word(predicate_mask(chunk, pred.lo, pred.hi, imp), wi, lo, hi);
-        emit_selection(sel, base, out);
-    }
-}
-
-/// Count active rows in `[lo, hi)` matching `pred` without materializing
-/// row ids: one popcount per word of selected rows.
-pub fn count_active(
-    values: &[Value],
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-) -> usize {
-    let hi = hi.min(values.len());
-    if lo >= hi || pred.is_empty() {
-        return 0;
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    let mut count = 0usize;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        if active == 0 {
-            continue;
-        }
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        count += selection_word(chunk, active, pred, imp).count_ones() as usize;
-    }
-    count
-}
-
 /// Fused filter + aggregate over active rows in `[lo, hi)`: one pass
 /// builds the selection mask and folds matching values. Returns the state
 /// and the number of *active* rows examined (the executor's
@@ -762,43 +709,6 @@ pub fn scan_active_zoned_into(
         emit_selection(selection_word(chunk, active, pred, imp), base, out);
     }
     stats
-}
-
-/// Zone-pruned [`count_active`]: returns the match count plus accounting.
-pub fn count_active_zoned(
-    values: &[Value],
-    words: &[u64],
-    zones: &[Zone],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-) -> (usize, ZoneStats) {
-    let hi = hi.min(values.len());
-    let mut stats = ZoneStats::default();
-    if lo >= hi || pred.is_empty() {
-        return (0, stats);
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    let mut count = 0usize;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        if active == 0 {
-            continue;
-        }
-        if let Some(z) = zones.get(wi) {
-            if !zone_may_match(z, pred) {
-                stats.words_pruned += 1;
-                continue;
-            }
-        }
-        stats.rows_scanned += active.count_ones() as usize;
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        count += selection_word(chunk, active, pred, imp).count_ones() as usize;
-    }
-    (count, stats)
 }
 
 /// Zone-pruned fused filter+aggregate. Zone pruning *reduces*
@@ -1133,49 +1043,6 @@ pub fn scan_tiered_active_into(
     stats
 }
 
-/// Count active matches in a tiered column without materializing row ids.
-pub fn count_tiered_active(
-    tier: &TieredColumn,
-    words: &[u64],
-    pred: RangePredicate,
-) -> (usize, TierStats) {
-    let mut stats = TierStats::default();
-    if pred.is_empty() || tier.is_empty() {
-        return (0, stats);
-    }
-    let mut count = 0usize;
-    let mut mask_buf = Vec::new();
-    for b in 0..tier.frozen_blocks() {
-        let f = tier.frozen(b).expect("frozen block in range");
-        let meta = f.meta();
-        if !meta.may_match(pred.lo, pred.hi) {
-            stats.blocks_pruned += 1;
-            continue;
-        }
-        tier.note_block_access(b);
-        let bw = block_words(tier, words, b);
-        f.encoded()
-            .filter_range_masks(pred.lo, pred.hi, &mut mask_buf);
-        stats.rows_scanned += meta.active;
-        for (k, &m) in mask_buf.iter().enumerate() {
-            count += (m & bw.get(k).copied().unwrap_or(0)).count_ones() as usize;
-        }
-    }
-    let tail = tier.hot_values();
-    let tail_start = tier.hot_start();
-    let imp = mask_impl();
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let active = tail_word(words, wi, chunk.len());
-        if active == 0 {
-            continue;
-        }
-        stats.rows_scanned += active.count_ones() as usize;
-        count += selection_word(chunk, active, pred, imp).count_ones() as usize;
-    }
-    (count, stats)
-}
-
 /// Fold frozen blocks `[first, last)` into an aggregate state via the
 /// codecs' fused `fold_range_masked` — SUM/COUNT/MIN/MAX accumulate in
 /// code/offset/run space and the block is never decoded (the
@@ -1274,38 +1141,6 @@ pub fn aggregate_tiered_active(
     stats2.rows_scanned += tail_scanned;
     stats.merge(stats2);
     (state, stats)
-}
-
-/// Complete-scan variant over a tiered column: *all* physical rows
-/// matching `pred`, forgotten included (paper §1's "a complete scan will
-/// fetch all data"). Frozen blocks answer through `filter_range_masks`
-/// with no activity AND; dropped blocks contribute nothing — their
-/// values were surrendered, which is the one place the complete-scan
-/// regime observes tiering (the store layer never drops blocks under
-/// that regime).
-pub fn scan_tiered_all_into(tier: &TieredColumn, pred: RangePredicate, out: &mut Vec<RowId>) {
-    if pred.is_empty() || tier.is_empty() {
-        return;
-    }
-    let br = tier.block_rows();
-    let mut mask_buf = Vec::new();
-    for b in 0..tier.frozen_blocks() {
-        let f = tier.frozen(b).expect("frozen block in range");
-        if f.is_dropped() {
-            continue;
-        }
-        f.encoded()
-            .filter_range_masks(pred.lo, pred.hi, &mut mask_buf);
-        for (k, &m) in mask_buf.iter().enumerate() {
-            emit_selection(m, b * br + k * WORD_BITS, out);
-        }
-    }
-    let tail_start = tier.hot_start();
-    let imp = mask_impl();
-    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
-        let sel = predicate_mask(chunk, pred.lo, pred.hi, imp);
-        emit_selection(sel, tail_start + j * WORD_BITS, out);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1443,36 +1278,6 @@ pub fn probe_tiered_tail_with<T>(
     }
 }
 
-/// Probe rows `[lo, hi)` of a flat (fully hot) column slice: the
-/// word-masked equivalent of the tail probe, used by the parallel join to
-/// chunk a hot probe side. `values` and `words` span the whole column.
-pub fn probe_hot_with<T>(
-    values: &[Value],
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    build: &HashMap<Value, T>,
-    mut on_hit: impl FnMut(&T, usize),
-) {
-    let hi = hi.min(values.len());
-    if lo >= hi {
-        return;
-    }
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let mut active = clip_word(word, wi, lo, hi);
-        let base = wi * WORD_BITS;
-        while active != 0 {
-            let bit = active.trailing_zeros() as usize;
-            active &= active - 1;
-            if let Some(t) = build.get(&values[base + bit]) {
-                on_hit(t, base + bit);
-            }
-        }
-    }
-}
-
 /// Probe a whole tiered column against a hash table: frozen blocks in
 /// compressed space behind key-range meta pruning, then the hot tail as a
 /// direct slice walk. `on_hit` fires in ascending probe-row order —
@@ -1534,22 +1339,14 @@ pub mod scalar {
         out
     }
 
-    /// Row-at-a-time [`scan_all_into`] equivalent.
+    /// Row-at-a-time complete scan: every physical row, forgotten
+    /// included.
     pub fn range_scan_all(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
         let column = table.column(col);
         (0..table.num_rows())
             .filter(|&r| pred.matches(column.get(r)))
             .map(RowId::from)
             .collect()
-    }
-
-    /// Row-at-a-time [`count_active`] equivalent.
-    pub fn count_active_matches(table: &Table, col: usize, pred: RangePredicate) -> usize {
-        let column = table.column(col);
-        table
-            .iter_active()
-            .filter(|r| pred.matches(column.get(r.as_usize())))
-            .count()
     }
 
     /// Row-at-a-time [`aggregate_active`](super::aggregate_active).
@@ -1692,10 +1489,8 @@ mod tests {
             pred,
             &mut rows,
         );
-        assert_eq!(
-            count_active(t.col_values(0), t.activity_words(), 0, 5000, pred),
-            rows.len()
-        );
+        let (state, _) = aggregate_active(t.col_values(0), t.activity_words(), 0, 5000, Some(pred));
+        assert_eq!(state.count() as usize, rows.len());
     }
 
     #[test]
@@ -1797,11 +1592,6 @@ mod tests {
             stats.rows_scanned
         );
 
-        let (count, cstats) =
-            count_active_zoned(t.col_values(0), t.activity_words(), wz.zones(), 0, n, pred);
-        assert_eq!(count, plain.len());
-        assert_eq!(cstats, stats);
-
         let (state, astats) = aggregate_active_zoned(
             t.col_values(0),
             t.activity_words(),
@@ -1813,6 +1603,7 @@ mod tests {
         let (want, want_scanned) =
             aggregate_active(t.col_values(0), t.activity_words(), 0, n, Some(pred));
         assert_eq!(state.finalize(AggKind::Sum), want.finalize(AggKind::Sum));
+        assert_eq!(state.count() as usize, plain.len());
         assert_eq!(astats, stats);
         assert!(
             astats.rows_scanned < want_scanned,
@@ -1935,8 +1726,8 @@ mod tests {
             let mut got = Vec::new();
             scan_tiered_active_into(tier, words, pred, &mut got);
             assert_eq!(got, want, "scan {pred:?}");
-            let (count, _) = count_tiered_active(tier, words, pred);
-            assert_eq!(count, want.len(), "count {pred:?}");
+            let (state, _) = aggregate_tiered_active(tier, words, Some(pred));
+            assert_eq!(state.count() as usize, want.len(), "count {pred:?}");
             for predicate in [None, Some(pred)] {
                 let (want_state, want_scanned) = aggregate_active(
                     flat.col_values(0),
@@ -1961,11 +1752,20 @@ mod tests {
                 );
             }
             // Complete scan sees forgotten rows too.
-            let mut want_all = Vec::new();
-            scan_all_into(flat.col_values(0), 0, 6_000, pred, &mut want_all);
-            let mut got_all = Vec::new();
-            scan_tiered_all_into(tier, pred, &mut got_all);
-            assert_eq!(got_all, want_all, "scan-all {pred:?}");
+            let preds = [crate::physical::ColPred::from_range(0, pred)];
+            let want_all = scalar::range_scan_all(&flat, 0, pred);
+            let flat_all = crate::kernels::selection_scan_all(&flat, &preds);
+            let got_all = crate::kernels::selection_scan_all(&tiered, &preds);
+            assert_eq!(
+                crate::kernels::selection_rows(&flat_all),
+                want_all,
+                "scan-all {pred:?}"
+            );
+            assert_eq!(
+                crate::kernels::selection_rows(&got_all),
+                want_all,
+                "scan-all {pred:?}"
+            );
         }
     }
 

@@ -1,12 +1,13 @@
-//! The executor: runs queries under a forget-visibility mode, with
-//! optional zone map, index and summary support, reporting per-query
-//! execution statistics.
+//! The executor: runs physical plans under a forget-visibility mode, with
+//! optional zone map, index, summary and micro-model support, reporting
+//! per-query execution statistics.
 
 use amnesia_columnar::{
-    Estimate, ModelStore, SortedIndex, SummaryStore, Table, ValueRange, WordZoneMap, ZoneMap,
+    Estimate, SortedIndex, SummaryStore, Table, ValueRange, WordZoneMap, ZoneMap,
 };
-use amnesia_workload::query::{AggKind, Query, RangePredicate};
-use amnesia_workload::Query as Q;
+use amnesia_columnar::{ModelStore, RowId, Value};
+use amnesia_util::WORD_BITS;
+use amnesia_workload::query::{AggKind, RangePredicate};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::AggState;
@@ -16,15 +17,11 @@ use crate::kernels;
 use crate::mode::ForgetVisibility;
 use crate::morsel::{self, ExecMode, SchedStats};
 use crate::physical::{
-    finalize_scalar, ColPred, PhysItem, PhysicalPlan, PlanHint, Scalar, SortDir,
+    finalize_scalar, scan_tag, ColPred, PhysItem, PhysicalPlan, PlanHint, Scalar, SortDir,
 };
-use crate::plan::{Plan, Planner};
 
-use amnesia_columnar::{RowId, Value};
-use amnesia_util::WORD_BITS;
-
-/// Auxiliary structures available to the executor.
-#[derive(Default)]
+/// Auxiliary structures available to one scan slot of a plan.
+#[derive(Default, Clone, Copy)]
 pub struct Aux<'a> {
     /// Zone map over the queried column, if maintained.
     pub zonemap: Option<&'a ZoneMap>,
@@ -91,9 +88,9 @@ pub struct ExecStats {
     pub blocks_pruned: usize,
     /// 64-row words skipped thanks to the word-granularity zone map.
     pub words_pruned: usize,
-    /// Result cardinality: matching rows for scans and joins, output
-    /// rows (the group count) for executed plans with aggregation, 0
-    /// for the workload driver's scalar-aggregate path.
+    /// Result cardinality: the plan's output rows — selected row ids
+    /// for the row-id output shape, the group count for grouped
+    /// aggregation, 1 for a global aggregate.
     pub result_rows: usize,
     /// Join pairs produced (0 without a join).
     pub join_pairs: usize,
@@ -102,7 +99,7 @@ pub struct ExecStats {
     pub groups: usize,
     /// Abstract cost charged by the cost model.
     pub cost: f64,
-    /// Which plan ran ("full-scan", "pruned-scan", "index-probe").
+    /// Which access path slot 0's scan took (or which join ran).
     pub plan: PlanTag,
     /// Morsels the scheduler executed across all plan stages (0 when
     /// every stage ran serially).
@@ -126,6 +123,15 @@ pub struct ExecStats {
     /// means the cost model swapped the syntactic build side). `None`
     /// without a join or under the syntactic hint.
     pub build_side: Option<usize>,
+}
+
+impl ExecStats {
+    /// Record the scheduler's accounting for the whole plan.
+    fn note_sched(&mut self, sched: &SchedStats) {
+        self.morsels = sched.morsels;
+        self.morsel_steals = sched.steals;
+        self.merge_ns = sched.merge_ns;
+    }
 }
 
 /// Execution accounting for one pushed-down predicate of a cost-ordered
@@ -201,11 +207,12 @@ pub struct ExecResult {
     pub stats: ExecStats,
 }
 
-/// Query executor.
+/// Query executor: runs [`PhysicalPlan`]s under a forget-visibility
+/// regime, serially or morsel-parallel.
 #[derive(Debug, Clone)]
 pub struct Executor {
     mode: ForgetVisibility,
-    planner: Planner,
+    cost: CostModel,
     exec_mode: ExecMode,
     morsel_rows: usize,
 }
@@ -218,7 +225,7 @@ impl Default for Executor {
     fn default() -> Self {
         Self {
             mode: ForgetVisibility::default(),
-            planner: Planner::default(),
+            cost: CostModel::default(),
             exec_mode: ExecMode::from_env(),
             morsel_rows: morsel::morsel_rows_from_env(),
         }
@@ -231,7 +238,7 @@ impl Executor {
     pub fn new(mode: ForgetVisibility, cost: CostModel) -> Self {
         Self {
             mode,
-            planner: Planner::new(cost),
+            cost,
             ..Self::default()
         }
     }
@@ -261,142 +268,52 @@ impl Executor {
         self.exec_mode
     }
 
-    /// Execute a query against column `col` of `table`. The workload
-    /// algebra is a trivial lowering onto the physical-plan operators:
-    /// `Range`/`Point` run the shared scan operator ([`Self::run_scan`],
-    /// the same code path SQL's lowered scans take), aggregates run the
-    /// fused filter+aggregate operator (the same [`AggState`] machinery
-    /// the plan's aggregation stages fold with).
-    pub fn execute(&self, table: &Table, col: usize, query: &Query, aux: &Aux<'_>) -> ExecResult {
-        match query {
-            Q::Range(pred) => self.execute_scan_query(table, col, *pred, aux),
-            Q::Point(v) => self.execute_scan_query(
-                table,
-                col,
-                RangePredicate::new(*v, v.saturating_add(1)),
-                aux,
-            ),
-            Q::Aggregate { kind, predicate } => {
-                self.execute_aggregate(table, col, *kind, *predicate, aux)
-            }
-        }
-    }
-
-    /// Lower a single range predicate onto the shared scan operator and
-    /// materialize the selection as row ids (index probes keep their
-    /// value order through [`Selection::Rows`]).
-    fn execute_scan_query(
-        &self,
-        table: &Table,
-        col: usize,
-        pred: RangePredicate,
-        aux: &Aux<'_>,
-    ) -> ExecResult {
-        let preds = [ColPred::from_range(col, pred)];
-        let (sel, mut stats) = self.run_scan(table, &preds, aux);
-        let rows = sel.into_rows();
-        stats.result_rows = rows.len();
-        ExecResult {
-            output: QueryOutput::Rows(rows),
-            stats,
-        }
-    }
-
-    /// Execute a hash equi-join `left.left_col = right.right_col` under
-    /// the executor's visibility mode, surfacing the join kernel's tier
-    /// accounting through [`ExecStats`]: `blocks_pruned` counts frozen
-    /// probe blocks skipped against the build side's key range, and
-    /// `rows_scanned` is the build rows plus the probe rows actually
-    /// streamed (pruned probe rows subtract out — the work the block
-    /// metadata saved). The plan reports [`PlanTag::TieredJoin`] once
-    /// either side holds frozen blocks under the amnesiac regime.
-    pub fn execute_join(
-        &self,
-        left: &Table,
-        left_col: usize,
-        right: &Table,
-        right_col: usize,
-    ) -> (crate::join::JoinResult, ExecStats) {
-        let r = crate::join::hash_join(left, left_col, right, right_col, self.mode);
-        let rows_scanned = r.stats.build_rows + r.stats.probe_rows - r.stats.probe_rows_skipped;
-        let tiered =
-            self.mode == ForgetVisibility::ActiveOnly && (left.has_frozen() || right.has_frozen());
-        let stats = ExecStats {
-            rows_scanned,
-            blocks_pruned: r.stats.blocks_pruned,
-            words_pruned: 0,
-            result_rows: r.stats.output_pairs,
-            join_pairs: r.stats.output_pairs,
-            groups: 0,
-            cost: self.planner.cost_model().full_scan(rows_scanned),
-            plan: if tiered {
-                PlanTag::TieredJoin
-            } else {
-                PlanTag::FullScan
-            },
-            ..Default::default()
-        };
-        (r, stats)
-    }
-
-    /// Run one physical scan — the shared operator underneath both the
-    /// workload driver's queries and the SQL surface's lowered plans.
+    /// Execute a [`PhysicalPlan`] — scans with pushed-down predicate
+    /// conjunctions, optional tiered hash join, fused or grouped
+    /// aggregation, projection gather, sort + limit — returning the
+    /// output and one unified [`ExecStats`]. This is the executor's one
+    /// query entry point: SQL's `BoundQuery::lower()` and the workload
+    /// queries' [`PhysicalPlan::from_query`] both land here.
     ///
-    /// A single representable range predicate routes through the
-    /// cost-based planner exactly like [`Executor::execute`]'s range
-    /// queries (zone-map pruned scans and index probes included, when
-    /// the [`Aux`] structures exist); everything else — the empty
-    /// conjunction, multi-predicate conjunctions, negations, domain-edge
-    /// ranges — evaluates as fused 64-bit selection masks via
-    /// [`kernels::selection_scan`].
-    pub fn run_scan(
-        &self,
-        table: &Table,
-        preds: &[ColPred],
-        aux: &Aux<'_>,
-    ) -> (Selection, ExecStats) {
-        if preds.len() == 1 {
-            if let Some(range) = preds[0].as_range() {
-                let res = self.execute_range(table, preds[0].col, range, aux);
-                let rows = match res.output {
-                    QueryOutput::Rows(r) => r,
-                    QueryOutput::Agg(_) => unreachable!("range scans return rows"),
-                };
-                return (Selection::Rows(rows), res.stats);
-            }
-        }
-        let (sel, ts) = kernels::selection_scan(table, preds);
-        let stats = ExecStats {
-            rows_scanned: ts.rows_scanned,
-            blocks_pruned: ts.blocks_pruned,
-            cost: self.planner.cost_model().full_scan(ts.rows_scanned),
-            plan: if table.has_frozen() {
-                PlanTag::TieredScan
-            } else {
-                PlanTag::FullScan
-            },
-            ..Default::default()
-        };
-        (Selection::Words(sel), stats)
-    }
-
-    /// Execute a full [`PhysicalPlan`] — scans with pushed-down
-    /// predicate conjunctions, optional tiered hash join, fused or
-    /// grouped aggregation, projection gather, sort + limit — returning
-    /// the output rows and one unified [`ExecStats`].
+    /// **Visibility.** Under [`ForgetVisibility::ActiveOnly`] every stage
+    /// sees exactly the active data, per the paper's §1 contract that
+    /// forgotten tuples "will never show up in query results". Under
+    /// [`ForgetVisibility::ScanSeesForgotten`] a one-scan plan without
+    /// aggregates takes the *complete scan* ("a complete scan will fetch
+    /// all data"): forgotten rows are selected too, and no zone map,
+    /// index or block meta — all of which track active data only — may
+    /// prune. Joins and aggregates read the active set under either
+    /// regime.
     ///
-    /// The plan always runs under the amnesiac (active-only) visibility:
-    /// a query surface lowered onto physical plans sees exactly the
-    /// active data, per the paper's §1 contract that forgotten tuples
-    /// "will never show up in query results". `auxes` supplies per-slot
-    /// zone maps / indexes (missing slots scan unassisted).
+    /// **Access paths.** A scan slot with one predicate that is a
+    /// half-open range picks its access path by the [`CostModel`]: a
+    /// full (or tiered) scan, a zone-map pruned scan, or a sorted-index
+    /// probe (index probes return rows in value order), from the slot's
+    /// [`Aux`] structures; a full scan of a hot table with word zones
+    /// skips words whose min/max miss the range. The choice happens
+    /// before the serial/parallel split, so both modes report the same
+    /// [`ExecStats::plan`] and [`ExecStats::cost`]; only the unassisted
+    /// full scan fans out over morsels. Every other scan evaluates fused
+    /// 64-bit selection masks — under [`PlanHint::CostBased`], two or
+    /// more predicates run in estimated `selectivity × eval_cost` order.
     ///
-    /// Under [`ExecMode::Parallel`] every stage dispatches through the
-    /// [`morsel`] scheduler — tier-aligned morsels, a work-stealing
-    /// worker pool, deterministic merges — and returns rows
-    /// byte-identical to the serial path (aux access paths are bypassed:
-    /// the fused selection kernels compute the same selection the
-    /// planner's assisted scans would). Scheduler accounting lands in
+    /// **Row-id output.** A one-scan plan with no items returns its
+    /// selection in [`PhysResult::row_ids`] (ascending, or the index's
+    /// value order), straight from the row-emitting scan kernels; its
+    /// [`PhysResult::rows`] is empty.
+    ///
+    /// **Fused aggregate.** A one-scan global aggregate with at most one
+    /// range predicate, whose aggregates all read the predicate's column
+    /// (or are `COUNT(*)`), folds filter and aggregate in one pass
+    /// (serially; a parallel pool folds its morsel selection instead).
+    /// Slot 0's [`Aux::summaries`] fold into an unpredicated aggregate
+    /// and [`Aux::models`] pro-rate forgotten mass into the answer,
+    /// which then finalizes as [`Scalar::Float`].
+    ///
+    /// Under [`ExecMode::Parallel`] every other stage dispatches through
+    /// the [`morsel`] scheduler — tier-aligned morsels, a work-stealing
+    /// worker pool, deterministic merges — and returns output
+    /// byte-identical to the serial path. Scheduler accounting lands in
     /// [`ExecStats::morsels`], [`ExecStats::morsel_steals`] and
     /// [`ExecStats::merge_ns`].
     pub fn execute_plan(
@@ -411,136 +328,71 @@ impl Executor {
             "one table per plan scan slot"
         );
         let default_aux = Aux::default();
+        let threads = self.exec_mode.threads();
+        if let Some((col, pred)) = fused_aggregate_shape(plan) {
+            let aux = auxes.first().unwrap_or(&default_aux);
+            return self.fused_aggregate(tables[0], aux, plan, col, pred, threads);
+        }
         let mut stats = ExecStats::default();
         let mut sched = SchedStats::default();
-        let threads = self.exec_mode.threads();
         let cost_based = plan.hint == PlanHint::CostBased;
-        let model = self.planner.cost_model();
+        let model = &self.cost;
+        let row_ids = plan.scans.len() == 1 && plan.join.is_none() && plan.items.is_empty();
+        let complete = self.mode == ForgetVisibility::ScanSeesForgotten
+            && plan.join.is_none()
+            && !plan.has_aggregates();
 
-        // 1. Scans: per-slot selection masks under the pushed-down
+        // 1. Scans: per-slot selections under the pushed-down
         //    conjunction. Under the cost hint, multi-predicate
         //    conjunctions run in estimated `selectivity × eval_cost`
         //    order with sparse residual refinement (AND commutes, so the
         //    selection is byte-identical to the syntactic order).
-        let mut sels: Vec<Vec<u64>> = Vec::with_capacity(tables.len());
-        let mut scan_estimates: Vec<f64> = Vec::with_capacity(tables.len());
+        let mut sels: Vec<Vec<u64>> = Vec::new();
+        let mut scan_estimates: Vec<f64> = Vec::new();
         for (slot, scan) in plan.scans.iter().enumerate() {
-            let nwords = tables[slot].num_rows().div_ceil(WORD_BITS);
-            if cost_based && scan.preds.len() >= 2 {
-                let po = crate::stats::order_predicates(tables[slot], &scan.preds, model);
-                let (sel, ts, per_pred) = if threads > 1 {
-                    let (sel, ts, per_pred, s) = morsel::par_selection_scan_ordered(
-                        tables[slot],
-                        &scan.preds,
-                        &po.order,
-                        threads,
-                        self.morsel_rows,
-                    );
-                    sched.absorb(&s);
-                    (sel, ts, per_pred)
-                } else {
-                    let mut per_pred = vec![kernels::PredScanStats::default(); scan.preds.len()];
-                    let (sel, ts) = kernels::selection_scan_ordered(
-                        tables[slot],
-                        &scan.preds,
-                        &po.order,
-                        &mut per_pred,
-                    );
-                    (sel, ts, per_pred)
-                };
-                stats.rows_scanned += ts.rows_scanned;
-                stats.blocks_pruned += ts.blocks_pruned;
-                stats.cost += model.full_scan(ts.rows_scanned);
-                if slot == 0 {
-                    stats.plan = if tables[slot].has_frozen() {
-                        PlanTag::TieredScan
-                    } else {
-                        PlanTag::FullScan
-                    };
-                }
-                for (rank, &i) in po.order.iter().enumerate() {
-                    stats.pred_stats.push(PredStat {
-                        slot,
-                        display: scan.preds[i].display.clone(),
-                        syntactic_pos: i,
-                        exec_rank: rank,
-                        est_rows: po.est_rows[i],
-                        blocks_pruned: per_pred[i].blocks_pruned,
-                        blocks_refined: per_pred[i].blocks_refined,
-                    });
-                }
-                stats.stage_estimates.push(StageEstimate {
-                    label: scan.label.clone(),
-                    est_rows: po.est_out_rows,
-                    actual_rows: kernels::selection_count(&sel),
-                });
-                scan_estimates.push(po.est_out_rows);
-                sels.push(sel);
-                continue;
-            }
-            // 0- or 1-predicate scans keep the legacy execution paths
-            // (including the planner's zone-map / index access paths on
-            // the serial route) — the cost hint still records their
-            // estimate for join-side choice and EXPLAIN.
-            let est = if cost_based {
-                let e = crate::stats::estimate_scan_rows(tables[slot], &scan.preds, model);
-                scan_estimates.push(e);
-                Some(e)
+            let table = tables[slot];
+            let (sel, s, est) = if complete {
+                let (sel, s) = self.complete_scan(table, &scan.preds);
+                (sel, s, None)
+            } else if cost_based && scan.preds.len() >= 2 {
+                let po = crate::stats::order_predicates(table, &scan.preds, model);
+                let (sel, s) =
+                    self.ordered_scan(table, slot, &scan.preds, &po, threads, &mut sched);
+                (sel, s, Some(po.est_out_rows))
             } else {
-                None
+                let est =
+                    cost_based.then(|| crate::stats::estimate_scan_rows(table, &scan.preds, model));
+                let aux = auxes.get(slot).unwrap_or(&default_aux);
+                let (sel, s) = self.scan(table, &scan.preds, aux, row_ids, threads, &mut sched);
+                (sel, s, est)
             };
-            if threads > 1 {
-                let (sel, ts, s) = morsel::par_selection_scan(
-                    tables[slot],
-                    &scan.preds,
-                    threads,
-                    self.morsel_rows,
-                );
-                sched.absorb(&s);
-                stats.rows_scanned += ts.rows_scanned;
-                stats.blocks_pruned += ts.blocks_pruned;
-                stats.cost += model.full_scan(ts.rows_scanned);
-                if slot == 0 {
-                    stats.plan = if tables[slot].has_frozen() {
-                        PlanTag::TieredScan
-                    } else {
-                        PlanTag::FullScan
-                    };
-                }
-                if let Some(e) = est {
-                    stats.stage_estimates.push(StageEstimate {
-                        label: scan.label.clone(),
-                        est_rows: e,
-                        actual_rows: kernels::selection_count(&sel),
-                    });
-                }
-                sels.push(sel);
-                continue;
-            }
-            let aux = auxes.get(slot).unwrap_or(&default_aux);
-            let (sel, s) = self.run_scan(tables[slot], &scan.preds, aux);
             stats.rows_scanned += s.rows_scanned;
             stats.blocks_pruned += s.blocks_pruned;
             stats.words_pruned += s.words_pruned;
             stats.cost += s.cost;
+            stats.pred_stats.extend(s.pred_stats);
             if slot == 0 {
                 stats.plan = s.plan;
             }
             if let Some(e) = est {
-                let actual = match &sel {
-                    Selection::Words(w) => kernels::selection_count(w),
-                    Selection::Rows(rows) => rows.len(),
-                };
+                scan_estimates.push(e);
                 stats.stage_estimates.push(StageEstimate {
                     label: scan.label.clone(),
                     est_rows: e,
-                    actual_rows: actual,
+                    actual_rows: sel.len(),
                 });
             }
-            sels.push(match sel {
-                Selection::Words(w) => w,
-                Selection::Rows(rows) => rows_to_words(&rows, nwords),
-            });
+            if row_ids {
+                let row_ids = sel.into_rows();
+                stats.result_rows = row_ids.len();
+                stats.note_sched(&sched);
+                return PhysResult {
+                    rows: Vec::new(),
+                    row_ids,
+                    stats,
+                };
+            }
+            sels.push(sel.into_words(table.num_rows().div_ceil(WORD_BITS)));
         }
 
         // 2. Join. The physical choice is cost-driven and
@@ -625,9 +477,8 @@ impl Executor {
                 p.sort_unstable_by_key(|&(l, r)| (r.as_usize(), l.as_usize()));
             }
             stats.blocks_pruned += probe.blocks_pruned;
-            // Mirror `execute_join`'s accounting: probe rows the key-range
-            // meta pruned were never streamed, so they subtract from
-            // `rows_scanned`. Only exact when the probe scan pushed no
+            // Probe rows the key-range meta pruned were never streamed,
+            // so they subtract from `rows_scanned`. Only exact when the probe scan pushed no
             // predicates down (then its selection is the activity map,
             // which is what `probe_rows_skipped` counts); a filtered
             // probe side keeps the scan-phase count.
@@ -698,10 +549,12 @@ impl Executor {
             rows.truncate(limit as usize);
         }
         stats.result_rows = rows.len();
-        stats.morsels = sched.morsels;
-        stats.morsel_steals = sched.steals;
-        stats.merge_ns = sched.merge_ns;
-        PhysResult { rows, stats }
+        stats.note_sched(&sched);
+        PhysResult {
+            rows,
+            row_ids: Vec::new(),
+            stats,
+        }
     }
 
     /// Projection gather over a single-table selection: each output
@@ -820,203 +673,360 @@ impl Executor {
         vec![row]
     }
 
-    fn execute_range(
+    /// One scan slot under the amnesiac regime. A single half-open range
+    /// runs on the access path [`Self::access_path`] prices cheapest,
+    /// charged that path's estimated cost whichever kernel then runs it
+    /// (an empty range selects and scans nothing). Anything else
+    /// evaluates fused selection masks over the tiers. Only the
+    /// unassisted scans fan out over morsels under a worker pool.
+    /// `want_rows` asks for row ids rather than selection words where a
+    /// kernel emits rows directly.
+    fn scan(
         &self,
         table: &Table,
-        col: usize,
-        pred: RangePredicate,
+        preds: &[ColPred],
         aux: &Aux<'_>,
-    ) -> ExecResult {
-        if pred.is_empty() {
-            return ExecResult {
-                output: QueryOutput::Rows(Vec::new()),
-                stats: ExecStats::default(),
-            };
-        }
-        // In ScanSeesForgotten mode the *complete scan* is the only plan
-        // that still covers forgotten tuples: zone maps and indexes track
-        // active data only (paper §1: "a complete scan will fetch all
-        // data, but a fast index-based query evaluation will skip the
-        // forgotten data"). Completeness costs a full physical scan.
-        //
-        // A frozen table drops the external zone map from planning: the
-        // tier's cached block meta prunes equivalently inside the scan
-        // kernel, and the flat blocked kernel no longer applies.
-        let zonemap = if table.has_frozen() {
-            None
-        } else {
-            aux.zonemap
+        want_rows: bool,
+        threads: usize,
+        sched: &mut SchedStats,
+    ) -> (Selection, ExecStats) {
+        let range = match preds {
+            [p] => p.as_range(),
+            _ => None,
         };
-        let (plan, cost) = match self.mode {
-            ForgetVisibility::ScanSeesForgotten => (
-                Plan::FullScan,
-                self.planner.cost_model().full_scan(table.num_rows()),
-            ),
-            ForgetVisibility::ActiveOnly => {
-                self.planner.plan_range(table, pred, zonemap, aux.index)
-            }
-        };
-        let (rows, rows_scanned, blocks_pruned, words_pruned, tag) = match &plan {
-            Plan::FullScan if table.has_frozen() && self.mode == ForgetVisibility::ActiveOnly => {
-                // Tier-aware scan: block meta prunes frozen blocks, the
-                // codecs' fused filters run on the survivors.
-                let (rows, ts) = kernels::range_scan_tiered(table, col, pred);
-                (
-                    rows,
-                    ts.rows_scanned,
-                    ts.blocks_pruned,
-                    0,
-                    PlanTag::TieredScan,
-                )
-            }
-            Plan::FullScan => {
-                // Word-granularity zones slot into the full-scan plan:
-                // same results, but the kernel skips words whose min/max
-                // can't intersect the predicate. The complete-scan mode
-                // must keep reading forgotten tuples, which zone entries
-                // do not cover.
-                let word_zones = match self.mode {
-                    ForgetVisibility::ActiveOnly => aux.word_zones.filter(|wz| wz.column() == col),
-                    ForgetVisibility::ScanSeesForgotten => None,
-                };
-                if let Some(wz) = word_zones {
-                    let (rows, zs) = kernels::range_scan_active_zoned(table, col, wz, pred);
-                    (rows, zs.rows_scanned, 0, zs.words_pruned, PlanTag::FullScan)
-                } else {
-                    let rows = match self.mode {
-                        ForgetVisibility::ActiveOnly => {
-                            kernels::range_scan_active(table, col, pred)
-                        }
-                        ForgetVisibility::ScanSeesForgotten => {
-                            kernels::range_scan_all(table, col, pred)
-                        }
-                    };
-                    let scanned = match self.mode {
-                        ForgetVisibility::ActiveOnly => table.active_rows(),
-                        ForgetVisibility::ScanSeesForgotten => table.num_rows(),
-                    };
-                    (rows, scanned, 0, 0, PlanTag::FullScan)
-                }
-            }
-            Plan::PrunedScan { blocks, block_rows } => {
-                let total_blocks = aux.zonemap.map(ZoneMap::num_blocks).unwrap_or(blocks.len());
-                let rows = kernels::range_scan_blocks(table, col, pred, blocks, *block_rows);
-                (
-                    rows,
-                    blocks.len() * block_rows,
-                    total_blocks - blocks.len(),
-                    0,
-                    PlanTag::PrunedScan,
-                )
-            }
-            Plan::IndexProbe => {
-                let idx = aux.index.expect("planner only picks built indexes");
-                let rows = idx.probe_range_active(table, pred.lo, pred.hi_inclusive());
-                let scanned = rows.len();
-                (rows, scanned, 0, 0, PlanTag::IndexProbe)
-            }
-        };
-        let result_rows = rows.len();
-        ExecResult {
-            output: QueryOutput::Rows(rows),
-            stats: ExecStats {
-                rows_scanned,
-                blocks_pruned,
-                words_pruned,
-                result_rows,
-                cost,
-                plan: tag,
+        let Some(range) = range else {
+            let (sel, ts) = self.selection_scan(table, preds, threads, sched);
+            let stats = ExecStats {
+                rows_scanned: ts.rows_scanned,
+                blocks_pruned: ts.blocks_pruned,
+                cost: self.cost.full_scan(ts.rows_scanned),
+                plan: scan_tag(table),
                 ..Default::default()
-            },
+            };
+            return (Selection::Words(sel), stats);
+        };
+        if range.is_empty() {
+            return (Selection::Rows(Vec::new()), ExecStats::default());
+        }
+        let col = preds[0].col;
+        let (path, cost) = self.access_path(table, col, range, aux);
+        let mut stats = ExecStats {
+            cost,
+            plan: scan_tag(table),
+            ..Default::default()
+        };
+        let sel = match path {
+            Access::IndexProbe(idx) => {
+                let rows = idx.probe_range_active(table, range.lo, range.hi_inclusive());
+                stats.rows_scanned = rows.len();
+                stats.plan = PlanTag::IndexProbe;
+                Selection::Rows(rows)
+            }
+            Access::PrunedScan(zm, blocks) => {
+                let rows = kernels::range_scan_blocks(table, col, range, &blocks, zm.block_rows());
+                stats.rows_scanned = blocks.len() * zm.block_rows();
+                stats.blocks_pruned = zm.num_blocks() - blocks.len();
+                stats.plan = PlanTag::PrunedScan;
+                Selection::Rows(rows)
+            }
+            Access::WordZones(wz) => {
+                let (rows, zs) = kernels::range_scan_active_zoned(table, col, wz, range);
+                stats.rows_scanned = zs.rows_scanned;
+                stats.words_pruned = zs.words_pruned;
+                Selection::Rows(rows)
+            }
+            Access::FullScan if want_rows && threads <= 1 => {
+                let (rows, ts) = kernels::range_scan_tiered(table, col, range);
+                stats.rows_scanned = ts.rows_scanned;
+                stats.blocks_pruned = ts.blocks_pruned;
+                Selection::Rows(rows)
+            }
+            Access::FullScan => {
+                let (sel, ts) = self.selection_scan(table, preds, threads, sched);
+                stats.rows_scanned = ts.rows_scanned;
+                stats.blocks_pruned = ts.blocks_pruned;
+                Selection::Words(sel)
+            }
+        };
+        (sel, stats)
+    }
+
+    /// The fused selection-mask scan, serial or over morsels.
+    fn selection_scan(
+        &self,
+        table: &Table,
+        preds: &[ColPred],
+        threads: usize,
+        sched: &mut SchedStats,
+    ) -> (Vec<u64>, kernels::TierStats) {
+        if threads > 1 {
+            let (sel, ts, s) = morsel::par_selection_scan(table, preds, threads, self.morsel_rows);
+            sched.absorb(&s);
+            (sel, ts)
+        } else {
+            kernels::selection_scan(table, preds)
         }
     }
 
-    fn execute_aggregate(
+    /// Price the access paths for `range` over `col` under the cost
+    /// model and return the cheapest with its estimated cost: a full
+    /// scan of every physical row, a scan of the zone map's candidate
+    /// blocks, or a probe of a usable sorted index. A frozen table drops
+    /// the external zone map (its tiers' cached block meta prunes
+    /// equivalently inside the scan kernel); a full scan of a hot table
+    /// takes word zones when they cover `col`.
+    fn access_path<'a>(
         &self,
         table: &Table,
         col: usize,
-        kind: AggKind,
-        predicate: Option<RangePredicate>,
-        aux: &Aux<'_>,
-    ) -> ExecResult {
-        // One fused filter+aggregate pass yields every statistic the
-        // combiners below might need (COUNT, SUM, MIN, MAX), so folding in
-        // summaries or micro-models no longer rescans the table. A word-
-        // granularity zone map slots straight into that pass when the
-        // aggregate is predicated; a frozen table instead folds its
-        // frozen blocks in code/offset space behind the cached block
-        // meta (no decode, no zone map needed).
-        let (active_state, scanned, blocks_pruned, words_pruned) = if table.has_frozen() {
-            let (state, ts) = kernels::aggregate_state_tiered(table, col, predicate);
-            (state, ts.rows_scanned, ts.blocks_pruned, 0)
-        } else {
-            match aux
-                .word_zones
-                .filter(|wz| wz.column() == col && predicate.is_some())
-            {
-                Some(wz) => {
-                    let (state, zs) =
-                        kernels::aggregate_state_active_zoned(table, col, wz, predicate);
-                    (state, zs.rows_scanned, 0, zs.words_pruned)
-                }
-                None => {
-                    let (state, scanned) = kernels::aggregate_state_active(table, col, predicate);
-                    (state, scanned, 0, 0)
-                }
-            }
+        range: RangePredicate,
+        aux: &Aux<'a>,
+    ) -> (Access<'a>, f64) {
+        let frozen = table.has_frozen();
+        let mut best = match aux.word_zones.filter(|wz| wz.column() == col && !frozen) {
+            Some(wz) => Access::WordZones(wz),
+            None => Access::FullScan,
         };
+        let mut best_cost = self.cost.full_scan(table.num_rows());
+        if let Some(zm) = aux.zonemap.filter(|zm| zm.column() == col && !frozen) {
+            let blocks = zm.candidate_blocks(range.lo, range.hi_inclusive());
+            let cost = self.cost.pruned_scan(blocks.len(), zm.block_rows());
+            if cost < best_cost {
+                (best, best_cost) = (Access::PrunedScan(zm, blocks), cost);
+            }
+        }
+        if let Some(idx) = aux.index.filter(|i| i.column() == col && i.is_usable()) {
+            // Cardinality estimate: uniform fraction of the seen range.
+            let span = table
+                .max_seen(col)
+                .zip(table.min_seen(col))
+                .map(|(max, min)| max.saturating_sub(min).saturating_add(1).max(1))
+                .unwrap_or(1);
+            let est_rows = (range.width() as f64 / span as f64).min(1.0) * idx.len() as f64;
+            let cost = self.cost.index_probe_cost(est_rows);
+            if cost < best_cost {
+                (best, best_cost) = (Access::IndexProbe(idx), cost);
+            }
+        }
+        (best, best_cost)
+    }
 
-        // Whole-table aggregates can fold in summaries of forgotten data
-        // (paper §1: summaries answer "specific aggregation queries" only —
-        // a predicate disables them because cell membership is unknown).
-        // The cell folds into the running state, so a micro-model combine
-        // below still sees the summary contribution.
-        let mut state = active_state;
-        if predicate.is_none() {
-            if let Some(summaries) = aux.summaries {
-                let cell = summaries.combined();
+    /// The §1 complete scan: every physical row passing `preds`,
+    /// forgotten or not. It reads every row (no zone map, index or block
+    /// meta may prune: they describe active data only), so it is priced
+    /// as a full scan.
+    fn complete_scan(&self, table: &Table, preds: &[ColPred]) -> (Selection, ExecStats) {
+        if let [p] = preds {
+            if !p.negated && p.is_empty_range() {
+                return (Selection::Rows(Vec::new()), ExecStats::default());
+            }
+        }
+        let n = table.num_rows();
+        let stats = ExecStats {
+            rows_scanned: n,
+            cost: self.cost.full_scan(n),
+            plan: PlanTag::FullScan,
+            ..Default::default()
+        };
+        (
+            Selection::Words(kernels::selection_scan_all(table, preds)),
+            stats,
+        )
+    }
+
+    /// A cost-ordered conjunctive scan of `slot`: predicates run in the
+    /// estimated order `po`, and each one's execution accounting lands
+    /// in the returned [`ExecStats::pred_stats`].
+    fn ordered_scan(
+        &self,
+        table: &Table,
+        slot: usize,
+        preds: &[ColPred],
+        po: &crate::stats::PredOrder,
+        threads: usize,
+        sched: &mut SchedStats,
+    ) -> (Selection, ExecStats) {
+        let (sel, ts, per_pred) = if threads > 1 {
+            let (sel, ts, per_pred, s) = morsel::par_selection_scan_ordered(
+                table,
+                preds,
+                &po.order,
+                threads,
+                self.morsel_rows,
+            );
+            sched.absorb(&s);
+            (sel, ts, per_pred)
+        } else {
+            let mut per_pred = vec![kernels::PredScanStats::default(); preds.len()];
+            let (sel, ts) = kernels::selection_scan_ordered(table, preds, &po.order, &mut per_pred);
+            (sel, ts, per_pred)
+        };
+        let pred_stats = po
+            .order
+            .iter()
+            .enumerate()
+            .map(|(rank, &i)| PredStat {
+                slot,
+                display: preds[i].display.clone(),
+                syntactic_pos: i,
+                exec_rank: rank,
+                est_rows: po.est_rows[i],
+                blocks_pruned: per_pred[i].blocks_pruned,
+                blocks_refined: per_pred[i].blocks_refined,
+            })
+            .collect();
+        let stats = ExecStats {
+            rows_scanned: ts.rows_scanned,
+            blocks_pruned: ts.blocks_pruned,
+            cost: self.cost.full_scan(ts.rows_scanned),
+            plan: scan_tag(table),
+            pred_stats,
+            ..Default::default()
+        };
+        (Selection::Words(sel), stats)
+    }
+
+    /// The fused-aggregate plan shape (see [`fused_aggregate_shape`]):
+    /// one filter+fold pass over `col` under `pred` — frozen blocks fold
+    /// in code/offset space behind their cached meta, a hot table with
+    /// word zones skips words a predicate cannot hit — then slot 0's
+    /// summaries and micro-models fold in. A worker pool instead folds
+    /// the morsel-parallel selection; the integer-exact state is the
+    /// same either way.
+    fn fused_aggregate(
+        &self,
+        table: &Table,
+        aux: &Aux<'_>,
+        plan: &PhysicalPlan,
+        col: usize,
+        pred: Option<RangePredicate>,
+        threads: usize,
+    ) -> PhysResult {
+        let preds = &plan.scans[0].preds;
+        let mut sched = SchedStats::default();
+        let mut stats = ExecStats {
+            plan: scan_tag(table),
+            groups: 1,
+            result_rows: 1,
+            ..Default::default()
+        };
+        let mut state = if threads > 1 {
+            let (sel, ts) = self.selection_scan(table, preds, threads, &mut sched);
+            let (state, s) =
+                morsel::par_aggregate_selection(table, &sel, col, threads, self.morsel_rows);
+            sched.absorb(&s);
+            stats.rows_scanned = ts.rows_scanned;
+            stats.blocks_pruned = ts.blocks_pruned;
+            state
+        } else if table.has_frozen() {
+            let (state, ts) = kernels::aggregate_state_tiered(table, col, pred);
+            stats.rows_scanned = ts.rows_scanned;
+            stats.blocks_pruned = ts.blocks_pruned;
+            state
+        } else if let Some(wz) = aux
+            .word_zones
+            .filter(|wz| wz.column() == col && pred.is_some())
+        {
+            let (state, zs) = kernels::aggregate_state_active_zoned(table, col, wz, pred);
+            stats.rows_scanned = zs.rows_scanned;
+            stats.words_pruned = zs.words_pruned;
+            state
+        } else {
+            let (state, scanned) = kernels::aggregate_state_active(table, col, pred);
+            stats.rows_scanned = scanned;
+            state
+        };
+        stats.cost = self.cost.full_scan(stats.rows_scanned);
+        if plan.hint == PlanHint::CostBased {
+            stats.stage_estimates.push(StageEstimate {
+                label: plan.scans[0].label.clone(),
+                est_rows: crate::stats::estimate_scan_rows(table, preds, &self.cost),
+                actual_rows: state.count() as usize,
+            });
+        }
+
+        // Whole-table aggregates fold in summaries of forgotten data
+        // (paper §1: summaries answer "specific aggregation queries" only
+        // — a predicate disables them because cell membership is
+        // unknown). The cell folds into the running state, so a
+        // micro-model combine below still sees the summary contribution.
+        if pred.is_none() {
+            if let Some(cell) = aux.summaries.map(SummaryStore::combined) {
                 if cell.count > 0 {
                     state.push_block(cell.count, cell.sum, cell.min, cell.max);
                 }
             }
         }
-        let mut value = state.finalize(kind);
-
         // Micro-models go further: their histograms pro-rate the
         // forgotten mass inside a predicate, so ranged aggregates get an
         // estimate instead of an active-only answer.
-        if let Some(models) = aux.models {
-            let range = predicate.map(|p| ValueRange { lo: p.lo, hi: p.hi });
-            let est = models.estimate(range);
-            if est.count > 1e-12 {
-                value = Some(combine_with_estimate(&state, kind, &est));
-            }
-        }
-
-        let cost = self.planner.cost_model().full_scan(scanned);
-        ExecResult {
-            output: QueryOutput::Agg(value),
-            stats: ExecStats {
-                rows_scanned: scanned,
-                blocks_pruned,
-                words_pruned,
-                cost,
-                plan: if table.has_frozen() {
-                    PlanTag::TieredScan
-                } else {
-                    PlanTag::FullScan
-                },
-                ..Default::default()
-            },
+        let estimate = aux
+            .models
+            .map(|m| m.estimate(pred.map(|p| ValueRange { lo: p.lo, hi: p.hi })))
+            .filter(|est| est.count > 1e-12);
+        let row = plan
+            .items
+            .iter()
+            .map(|item| match (item, &estimate) {
+                (PhysItem::Aggregate { kind, .. }, Some(est)) => {
+                    Scalar::Float(combine_with_estimate(&state, *kind, est))
+                }
+                (PhysItem::Aggregate { kind, .. }, None) => finalize_scalar(&state, *kind),
+                (PhysItem::Column { .. }, _) => unreachable!("fused aggregates carry no columns"),
+            })
+            .collect();
+        stats.note_sched(&sched);
+        PhysResult {
+            rows: vec![row],
+            row_ids: Vec::new(),
+            stats,
         }
     }
 }
 
+/// An access path [`Executor::access_path`] can choose for a one-range
+/// scan.
+enum Access<'a> {
+    /// Scan every active row (tier-aware once blocks are frozen).
+    FullScan,
+    /// Full scan of a hot table, skipping words the zones rule out.
+    WordZones(&'a WordZoneMap),
+    /// Scan only the zone map's candidate blocks.
+    PrunedScan(&'a ZoneMap, Vec<usize>),
+    /// Probe the sorted index.
+    IndexProbe(&'a SortedIndex),
+}
+
+/// Does `plan` have the fused-aggregate shape — one scan, no join, no
+/// `GROUP BY`, only aggregates, at least one of them reading a column
+/// `c` and the rest reading `c` or counting rows, and at most one
+/// predicate, a half-open range over `c`? Returns `c` and the range.
+fn fused_aggregate_shape(plan: &PhysicalPlan) -> Option<(usize, Option<RangePredicate>)> {
+    if plan.scans.len() != 1 || plan.join.is_some() || plan.group_by.is_some() {
+        return None;
+    }
+    let mut col = None;
+    for item in &plan.items {
+        match item {
+            PhysItem::Aggregate { arg: None, .. } => {}
+            PhysItem::Aggregate {
+                arg: Some((0, c)), ..
+            } if col.is_none_or(|seen| seen == *c) => col = Some(*c),
+            _ => return None,
+        }
+    }
+    let col = col?;
+    match plan.scans[0].preds.as_slice() {
+        [] => Some((col, None)),
+        [p] if p.col == col => Some((col, Some(p.as_range()?))),
+        _ => None,
+    }
+}
+
 /// A scan operator's output: selection-mask words (one per 64 rows), or
-/// an explicit row list when the access path yields an order masks
-/// cannot express (index probes return value order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Selection {
+/// an explicit row list when the access path emits rows directly (index
+/// probes return value order).
+enum Selection {
     /// One 64-bit selection word per activity word, ascending row order.
     Words(Vec<u64>),
     /// Explicit rows in access-path order.
@@ -1024,11 +1034,34 @@ pub enum Selection {
 }
 
 impl Selection {
+    /// Selected-row count.
+    fn len(&self) -> usize {
+        match self {
+            Selection::Words(w) => kernels::selection_count(w),
+            Selection::Rows(rows) => rows.len(),
+        }
+    }
+
     /// Materialize as row ids (ascending for [`Selection::Words`]).
-    pub fn into_rows(self) -> Vec<RowId> {
+    fn into_rows(self) -> Vec<RowId> {
         match self {
             Selection::Rows(rows) => rows,
             Selection::Words(words) => kernels::selection_rows(&words),
+        }
+    }
+
+    /// Materialize as `nwords` selection words.
+    fn into_words(self, nwords: usize) -> Vec<u64> {
+        match self {
+            Selection::Words(words) => words,
+            Selection::Rows(rows) => {
+                let mut words = vec![0u64; nwords];
+                for r in rows {
+                    let i = r.as_usize();
+                    words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
+                }
+                words
+            }
         }
     }
 }
@@ -1037,8 +1070,12 @@ impl Selection {
 /// plus the unified [`ExecStats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysResult {
-    /// Output rows, one [`Scalar`] per plan item.
+    /// Output rows, one [`Scalar`] per plan item (empty for the row-id
+    /// output shape).
     pub rows: Vec<Vec<Scalar>>,
+    /// The selection of a one-scan plan with no items, in access-path
+    /// order (empty for every other plan).
+    pub row_ids: Vec<RowId>,
     /// Execution statistics across every operator.
     pub stats: ExecStats,
 }
@@ -1094,16 +1131,6 @@ fn merge_join_sorted(
         }
     }
     Some(out)
-}
-
-/// Pack explicit row ids into selection-mask words.
-fn rows_to_words(rows: &[RowId], nwords: usize) -> Vec<u64> {
-    let mut words = vec![0u64; nwords];
-    for r in rows {
-        let i = r.as_usize();
-        words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-    }
-    words
 }
 
 /// The aggregate items of a plan, in item order.
@@ -1329,7 +1356,12 @@ fn combine_with_estimate(state: &kernels::AggState, kind: AggKind, est: &Estimat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::scalar;
+    use crate::join::hash_join;
+    use crate::physical::{JoinSpec, PhysScan};
     use amnesia_columnar::Schema;
+    use amnesia_util::SimRng;
+    use amnesia_workload::Query as Q;
 
     fn table() -> Table {
         let mut t = Table::new(Schema::single("a"));
@@ -1338,17 +1370,93 @@ mod tests {
         t
     }
 
+    /// `n` sequential values, nothing forgotten.
+    fn big_table(n: i64) -> Table {
+        let mut t = Table::new(Schema::single("a"));
+        let values: Vec<i64> = (0..n).collect();
+        t.insert_batch(&values, 0).unwrap();
+        t
+    }
+
+    /// `n` random values with a quarter of the rows forgotten.
+    fn random_table(n: usize) -> Table {
+        let mut rng = SimRng::new(7);
+        let values: Vec<i64> = (0..n).map(|_| rng.range_i64(0, 10_000)).collect();
+        let mut t = Table::new(Schema::single("a"));
+        t.insert_batch(&values, 0).unwrap();
+        for _ in 0..n / 4 {
+            if let Some(r) = t.random_active(&mut rng) {
+                t.forget(r, 1).unwrap();
+            }
+        }
+        t
+    }
+
+    fn on(ex: &Executor, threads: usize) -> Executor {
+        let mode = if threads <= 1 {
+            ExecMode::Serial
+        } else {
+            ExecMode::Parallel(threads)
+        };
+        ex.clone().with_exec_mode(mode).with_morsel_rows(64)
+    }
+
+    /// Run `plan` serially and on small-morsel pools of 2, 3 and 8
+    /// workers: output, access path and cost must agree across modes.
+    /// Returns the serial result.
+    fn run_plan(
+        ex: &Executor,
+        tables: &[&Table],
+        auxes: &[Aux<'_>],
+        plan: &PhysicalPlan,
+    ) -> PhysResult {
+        let serial = on(ex, 1).execute_plan(tables, auxes, plan);
+        for threads in [2, 3, 8] {
+            let par = on(ex, threads).execute_plan(tables, auxes, plan);
+            assert_eq!(par.rows, serial.rows, "rows at {threads} threads");
+            assert_eq!(par.row_ids, serial.row_ids, "row ids at {threads} threads");
+            assert_eq!(
+                par.stats.plan, serial.stats.plan,
+                "plan at {threads} threads"
+            );
+            assert_eq!(
+                par.stats.cost, serial.stats.cost,
+                "cost at {threads} threads"
+            );
+        }
+        serial
+    }
+
+    /// A workload query over column 0 of `t`, through [`run_plan`].
+    fn run(ex: &Executor, t: &Table, q: &Q, aux: &Aux<'_>) -> PhysResult {
+        run_plan(ex, &[t], &[*aux], &PhysicalPlan::from_query(0, q))
+    }
+
+    /// The scalar answer of a workload aggregate.
+    fn agg(
+        ex: &Executor,
+        t: &Table,
+        kind: AggKind,
+        predicate: Option<RangePredicate>,
+        aux: &Aux<'_>,
+    ) -> Option<f64> {
+        let r = run(ex, t, &Q::Aggregate { kind, predicate }, aux);
+        assert_eq!(r.stats.result_rows, 1);
+        r.rows[0][0].as_f64()
+    }
+
     #[test]
     fn range_active_only() {
         let t = table();
         let ex = Executor::default();
-        let r = ex.execute(
+        let r = run(
+            &ex,
             &t,
-            0,
             &Q::Range(RangePredicate::new(15, 45)),
             &Aux::default(),
         );
-        assert_eq!(r.output.rows().unwrap(), &[RowId(2), RowId(3)]);
+        assert_eq!(r.row_ids, &[RowId(2), RowId(3)]);
+        assert!(r.rows.is_empty());
         assert_eq!(r.stats.result_rows, 2);
         assert_eq!(r.stats.plan, PlanTag::FullScan);
     }
@@ -1357,14 +1465,18 @@ mod tests {
     fn scan_sees_forgotten_mode() {
         let t = table();
         let ex = Executor::new(ForgetVisibility::ScanSeesForgotten, CostModel::default());
-        let r = ex.execute(
+        let r = run(
+            &ex,
             &t,
-            0,
             &Q::Range(RangePredicate::new(15, 45)),
             &Aux::default(),
         );
         // The complete scan fetches the forgotten 20 as well.
-        assert_eq!(r.output.rows().unwrap(), &[RowId(1), RowId(2), RowId(3)]);
+        assert_eq!(r.row_ids, &[RowId(1), RowId(2), RowId(3)]);
+        assert_eq!(r.stats.rows_scanned, t.num_rows());
+        // Aggregates read the active set under either regime.
+        let avg = agg(&ex, &t, AggKind::Avg, None, &Aux::default());
+        assert_eq!(avg, Some(32.5));
     }
 
     #[test]
@@ -1372,39 +1484,50 @@ mod tests {
         let t = table();
         let mut idx = SortedIndex::build(&t, 0);
         idx.rebuild(&t);
-        // Force index choice by making the table "large" conceptually:
-        // probe directly through the executor with aux present on a narrow
-        // predicate. With only 5 rows the planner may still choose scans,
-        // so call the probe path explicitly.
         let rows = idx.probe_range_active(&t, 15, 44);
         assert_eq!(rows, vec![RowId(2), RowId(3)]);
+        // On a table large enough for the probe to win, the executor's
+        // index path skips forgotten rows too.
+        let mut big = big_table(50_000);
+        big.forget(RowId(120), 1).unwrap();
+        let idx = SortedIndex::build(&big, 0);
+        let aux = Aux {
+            index: Some(&idx),
+            ..Default::default()
+        };
+        let r = run(
+            &Executor::default(),
+            &big,
+            &Q::Range(RangePredicate::new(100, 140)),
+            &aux,
+        );
+        assert_eq!(r.stats.plan, PlanTag::IndexProbe);
+        assert_eq!(r.row_ids.len(), 39);
+        assert!(!r.row_ids.contains(&RowId(120)));
     }
 
     #[test]
     fn point_query() {
         let t = table();
         let ex = Executor::default();
-        let r = ex.execute(&t, 0, &Q::Point(30), &Aux::default());
-        assert_eq!(r.output.rows().unwrap(), &[RowId(2)]);
-        let miss = ex.execute(&t, 0, &Q::Point(20), &Aux::default());
-        assert!(miss.output.rows().unwrap().is_empty(), "forgotten point");
+        let r = run(&ex, &t, &Q::Point(30), &Aux::default());
+        assert_eq!(r.row_ids, &[RowId(2)]);
+        let miss = run(&ex, &t, &Q::Point(20), &Aux::default());
+        assert!(miss.row_ids.is_empty(), "forgotten point");
     }
 
     #[test]
     fn aggregate_without_summaries_drifts() {
         let t = table();
-        let ex = Executor::default();
-        let r = ex.execute(
+        // Active: 10,30,40,50 → 32.5 (true avg over history is 30).
+        let avg = agg(
+            &Executor::default(),
             &t,
-            0,
-            &Q::Aggregate {
-                kind: AggKind::Avg,
-                predicate: None,
-            },
+            AggKind::Avg,
+            None,
             &Aux::default(),
         );
-        // Active: 10,30,40,50 → 32.5 (true avg over history is 30).
-        assert_eq!(r.output.agg().unwrap(), Some(32.5));
+        assert_eq!(avg, Some(32.5));
     }
 
     #[test]
@@ -1417,50 +1540,10 @@ mod tests {
             summaries: Some(&summaries),
             ..Default::default()
         };
-        let avg = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Avg,
-                    predicate: None,
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
+        let avg = agg(&ex, &t, AggKind::Avg, None, &aux);
         assert_eq!(avg, Some(30.0), "summary restores the exact average");
-
-        let count = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Count,
-                    predicate: None,
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
-        assert_eq!(count, Some(5.0));
-
-        let min = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Min,
-                    predicate: None,
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
-        assert_eq!(min, Some(10.0));
+        assert_eq!(agg(&ex, &t, AggKind::Count, None, &aux), Some(5.0));
+        assert_eq!(agg(&ex, &t, AggKind::Min, None, &aux), Some(10.0));
     }
 
     #[test]
@@ -1468,24 +1551,12 @@ mod tests {
         let t = table();
         let mut summaries = SummaryStore::new();
         summaries.absorb(0, 20);
-        let ex = Executor::default();
         let aux = Aux {
             summaries: Some(&summaries),
             ..Default::default()
         };
-        let avg = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Avg,
-                    predicate: Some(RangePredicate::new(0, 100)),
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
+        let pred = Some(RangePredicate::new(0, 100));
+        let avg = agg(&Executor::default(), &t, AggKind::Avg, pred, &aux);
         // Summaries cannot be sliced by value: active-only answer.
         assert_eq!(avg, Some(32.5));
     }
@@ -1502,50 +1573,25 @@ mod tests {
             ..Default::default()
         };
         // Range [0, 100) contains the forgotten 20: COUNT recovers it.
-        let count = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Count,
-                    predicate: Some(RangePredicate::new(0, 100)),
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
+        let count = agg(
+            &ex,
+            &t,
+            AggKind::Count,
+            Some(RangePredicate::new(0, 100)),
+            &aux,
+        );
         assert_eq!(count, Some(5.0), "model restores the ranged count");
         // Range [35, 100) excludes it: no model contribution.
-        let count = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Count,
-                    predicate: Some(RangePredicate::new(35, 100)),
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
+        let count = agg(
+            &ex,
+            &t,
+            AggKind::Count,
+            Some(RangePredicate::new(35, 100)),
+            &aux,
+        );
         assert_eq!(count, Some(2.0), "40 and 50 only");
         // Whole-table AVG is exact from model totals.
-        let avg = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Avg,
-                    predicate: None,
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
-        assert_eq!(avg, Some(30.0));
+        assert_eq!(agg(&ex, &t, AggKind::Avg, None, &aux), Some(30.0));
     }
 
     #[test]
@@ -1567,66 +1613,37 @@ mod tests {
             models: Some(&models),
             ..Default::default()
         };
-        let sum = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Sum,
-                    predicate: None,
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
         // Active 10+40+50 = 100, summary adds 20, model adds 30.
-        assert_eq!(sum, Some(150.0));
-        let count = ex
-            .execute(
-                &t,
-                0,
-                &Q::Aggregate {
-                    kind: AggKind::Count,
-                    predicate: None,
-                },
-                &aux,
-            )
-            .output
-            .agg()
-            .unwrap();
-        assert_eq!(count, Some(5.0));
+        assert_eq!(agg(&ex, &t, AggKind::Sum, None, &aux), Some(150.0));
+        assert_eq!(agg(&ex, &t, AggKind::Count, None, &aux), Some(5.0));
     }
 
     #[test]
     fn empty_predicate_short_circuits() {
         let t = table();
-        let ex = Executor::default();
-        let r = ex.execute(
+        let r = run(
+            &Executor::default(),
             &t,
-            0,
             &Q::Range(RangePredicate::new(50, 10)),
             &Aux::default(),
         );
-        assert!(r.output.rows().unwrap().is_empty());
+        assert!(r.row_ids.is_empty());
         assert_eq!(r.stats.rows_scanned, 0);
     }
 
     #[test]
     fn word_zones_prune_full_scans() {
-        let mut t = Table::new(Schema::single("a"));
-        let values: Vec<i64> = (0..50_000).collect();
-        t.insert_batch(&values, 0).unwrap();
+        let t = big_table(50_000);
         let wz = WordZoneMap::build(&t, 0);
         let ex = Executor::default();
         let q = Q::Range(RangePredicate::new(100, 200));
-        let plain = ex.execute(&t, 0, &q, &Aux::default());
+        let plain = run(&ex, &t, &q, &Aux::default());
         let aux = Aux {
             word_zones: Some(&wz),
             ..Default::default()
         };
-        let zoned = ex.execute(&t, 0, &q, &aux);
-        assert_eq!(zoned.output, plain.output, "zones never change results");
+        let zoned = run(&ex, &t, &q, &aux);
+        assert_eq!(zoned.row_ids, plain.row_ids, "zones never change results");
         assert_eq!(zoned.stats.plan, PlanTag::FullScan);
         // 50k rows = 782 words; the sorted column leaves ~3 live.
         assert!(
@@ -1637,21 +1654,24 @@ mod tests {
         assert!(zoned.stats.rows_scanned < plain.stats.rows_scanned);
 
         // Predicated aggregates ride the same zones.
-        let agg = Q::Aggregate {
+        let agg_q = Q::Aggregate {
             kind: AggKind::Sum,
             predicate: Some(RangePredicate::new(100, 200)),
         };
-        let plain_agg = ex.execute(&t, 0, &agg, &Aux::default());
-        let zoned_agg = ex.execute(&t, 0, &agg, &aux);
-        assert_eq!(zoned_agg.output, plain_agg.output);
+        let plain_agg = on(&ex, 1).execute_plan(
+            &[&t],
+            &[Aux::default()],
+            &PhysicalPlan::from_query(0, &agg_q),
+        );
+        let zoned_agg =
+            on(&ex, 1).execute_plan(&[&t], &[aux], &PhysicalPlan::from_query(0, &agg_q));
+        assert_eq!(zoned_agg.rows, plain_agg.rows);
         assert!(zoned_agg.stats.words_pruned > 770);
     }
 
     #[test]
     fn frozen_table_takes_tiered_plan_with_identical_results() {
-        let mut flat = Table::new(Schema::single("a"));
-        let values: Vec<i64> = (0..50_000).collect();
-        flat.insert_batch(&values, 0).unwrap();
+        let mut flat = big_table(50_000);
         for r in (0..50_000u64).step_by(7) {
             flat.forget(RowId(r), 1).unwrap();
         }
@@ -1672,15 +1692,16 @@ mod tests {
             },
         ];
         for q in &queries {
-            let want = ex.execute(&flat, 0, q, &Aux::default());
-            let got = ex.execute(&frozen, 0, q, &Aux::default());
-            assert_eq!(got.output, want.output, "{q:?}");
+            let want = run(&ex, &flat, q, &Aux::default());
+            let got = run(&ex, &frozen, q, &Aux::default());
+            assert_eq!(got.rows, want.rows, "{q:?}");
+            assert_eq!(got.row_ids, want.row_ids, "{q:?}");
             assert_eq!(got.stats.plan, PlanTag::TieredScan, "{q:?}");
         }
         // The narrow range prunes nearly every frozen block via meta.
-        let narrow = ex.execute(
+        let narrow = run(
+            &ex,
             &frozen,
-            0,
             &Q::Range(RangePredicate::new(100, 220)),
             &Aux::default(),
         );
@@ -1692,20 +1713,18 @@ mod tests {
         assert!(narrow.stats.rows_scanned < flat.active_rows());
         // The complete-scan regime still sees forgotten rows.
         let ex_all = Executor::new(ForgetVisibility::ScanSeesForgotten, CostModel::default());
-        let r = ex_all.execute(
+        let r = run(
+            &ex_all,
             &frozen,
-            0,
             &Q::Range(RangePredicate::new(0, 100)),
             &Aux::default(),
         );
-        assert_eq!(r.output.cardinality(), 100);
+        assert_eq!(r.row_ids.len(), 100);
     }
 
     #[test]
     fn execute_join_surfaces_tier_accounting() {
-        let mut left = Table::new(Schema::single("k"));
-        left.insert_batch(&(0..100).collect::<Vec<i64>>(), 0)
-            .unwrap();
+        let left = big_table(100);
         let mut right = Table::new(Schema::single("k"));
         // Second block disjoint from the build keys: prunes under meta.
         let vals: Vec<i64> = (0..1024)
@@ -1713,41 +1732,366 @@ mod tests {
             .chain((0..1024).map(|i| 50_000 + i))
             .collect();
         right.insert_batch(&vals, 0).unwrap();
+        let plan = PhysicalPlan {
+            scans: vec![PhysScan::default(), PhysScan::default()],
+            join: Some(JoinSpec {
+                left_col: 0,
+                right_col: 0,
+                display: "l.k = r.k".into(),
+            }),
+            items: vec![
+                PhysItem::Column {
+                    slot: 0,
+                    col: 0,
+                    display: "l.k".into(),
+                },
+                PhysItem::Column {
+                    slot: 1,
+                    col: 0,
+                    display: "r.k".into(),
+                },
+            ],
+            group_by: None,
+            order_by: None,
+            limit: None,
+            hint: PlanHint::SyntacticOrder,
+        };
         let ex = Executor::default();
-        let (hot_r, hot_stats) = ex.execute_join(&left, 0, &right, 0);
-        assert_eq!(hot_stats.plan, PlanTag::FullScan);
-        assert_eq!(hot_stats.result_rows, hot_r.stats.output_pairs);
+        let hot = run_plan(&ex, &[&left, &right], &[], &plan);
+        let want = hash_join(&left, 0, &right, 0, ForgetVisibility::ActiveOnly);
+        assert_eq!(hot.stats.plan, PlanTag::FullScan);
+        assert_eq!(hot.stats.join_pairs, want.stats.output_pairs);
+        assert_eq!(hot.stats.result_rows, want.stats.output_pairs);
         right.freeze_upto(2048);
-        let (r, stats) = ex.execute_join(&left, 0, &right, 0);
-        assert_eq!(r.pairs, hot_r.pairs, "freezing never changes the join");
-        assert_eq!(stats.plan, PlanTag::TieredJoin);
-        assert_eq!(stats.blocks_pruned, 1, "the 50k block");
+        let frozen = run_plan(&ex, &[&left, &right], &[], &plan);
+        assert_eq!(frozen.rows, hot.rows, "freezing never changes the join");
+        assert_eq!(frozen.stats.plan, PlanTag::TieredJoin);
+        assert_eq!(frozen.stats.blocks_pruned, 1, "the 50k block");
         assert_eq!(
-            stats.rows_scanned,
+            frozen.stats.rows_scanned,
             left.active_rows() + right.active_rows() - 1024,
             "pruned probe rows subtract from the scanned accounting"
         );
-        // The ground-truth executor reports a dense full-scan join.
-        let ex_all = Executor::new(ForgetVisibility::ScanSeesForgotten, CostModel::default());
-        let (truth, tstats) = ex_all.execute_join(&left, 0, &right, 0);
-        assert_eq!(tstats.plan, PlanTag::FullScan);
-        assert_eq!(truth.stats.output_pairs, 1024, "forgotten-inclusive");
+        // The ground-truth join is forgotten-inclusive.
+        let truth = hash_join(&left, 0, &right, 0, ForgetVisibility::ScanSeesForgotten);
+        assert_eq!(truth.stats.output_pairs, 1024);
     }
 
     #[test]
     fn pruned_scan_engages_with_zonemap() {
-        let mut t = Table::new(Schema::single("a"));
-        let values: Vec<i64> = (0..50_000).collect();
-        t.insert_batch(&values, 0).unwrap();
+        let t = big_table(50_000);
         let zm = ZoneMap::build(&t, 0);
-        let ex = Executor::default();
         let aux = Aux {
             zonemap: Some(&zm),
             ..Default::default()
         };
-        let r = ex.execute(&t, 0, &Q::Range(RangePredicate::new(100, 200)), &aux);
+        let r = run(
+            &Executor::default(),
+            &t,
+            &Q::Range(RangePredicate::new(100, 200)),
+            &aux,
+        );
         assert_eq!(r.stats.plan, PlanTag::PrunedScan);
         assert!(r.stats.blocks_pruned > 40);
-        assert_eq!(r.output.cardinality(), 100);
+        assert_eq!(r.row_ids.len(), 100);
+    }
+
+    // -----------------------------------------------------------------
+    // Access-path choice: the scan stage prices full scan, zone-map
+    // pruned scan and index probe under the cost model.
+    // -----------------------------------------------------------------
+
+    /// The access path and cost a range query over `t` takes.
+    fn path(t: &Table, pred: RangePredicate, aux: &Aux<'_>) -> (PlanTag, f64, Vec<RowId>) {
+        let r = run(&Executor::default(), t, &Q::Range(pred), aux);
+        let mut want = scalar::range_scan_active(t, 0, pred);
+        let mut got = r.row_ids.clone();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "every access path returns the active matches");
+        (r.stats.plan, r.stats.cost, r.row_ids)
+    }
+
+    #[test]
+    fn selective_query_prefers_index() {
+        let t = big_table(100_000);
+        let idx = SortedIndex::build(&t, 0);
+        let aux = Aux {
+            index: Some(&idx),
+            ..Default::default()
+        };
+        let (plan, cost, _) = path(&t, RangePredicate::new(500, 600), &aux);
+        assert_eq!(plan, PlanTag::IndexProbe);
+        let model = CostModel::default();
+        assert!(
+            (cost - model.index_probe_cost(100.0)).abs() < 1e-9,
+            "{cost}"
+        );
+    }
+
+    #[test]
+    fn wide_query_prefers_scan_over_index() {
+        let t = big_table(1000);
+        let idx = SortedIndex::build(&t, 0);
+        let aux = Aux {
+            index: Some(&idx),
+            ..Default::default()
+        };
+        // Index would return everything: probing is pure overhead.
+        let (plan, cost, _) = path(&t, RangePredicate::new(0, 1000), &aux);
+        assert_eq!(plan, PlanTag::FullScan);
+        assert_eq!(cost, CostModel::default().full_scan(1000));
+    }
+
+    #[test]
+    fn zonemap_pruning_wins_when_blocks_drop() {
+        let t = big_table(100_000);
+        let zm = ZoneMap::build_with_block_rows(&t, 0, 1024);
+        let aux = Aux {
+            zonemap: Some(&zm),
+            ..Default::default()
+        };
+        let (plan, cost, rows) = path(&t, RangePredicate::new(500, 600), &aux);
+        assert_eq!(plan, PlanTag::PrunedScan);
+        let model = CostModel::default();
+        // A narrow range touches ≤ 2 blocks.
+        assert!(cost <= model.pruned_scan(2, 1024), "{cost}");
+        assert!(cost < model.full_scan(100_000));
+        assert_eq!(rows.len(), 100);
+    }
+
+    #[test]
+    fn dropped_index_is_ignored() {
+        let t = big_table(10_000);
+        let mut idx = SortedIndex::build(&t, 0);
+        idx.drop_index();
+        let aux = Aux {
+            index: Some(&idx),
+            ..Default::default()
+        };
+        let (plan, cost, _) = path(&t, RangePredicate::new(5, 10), &aux);
+        assert_eq!(plan, PlanTag::FullScan);
+        assert_eq!(cost, CostModel::default().full_scan(10_000));
+    }
+
+    #[test]
+    fn no_aux_structures_full_scan() {
+        let t = big_table(100);
+        let (plan, cost, _) = path(&t, RangePredicate::new(0, 10), &Aux::default());
+        assert_eq!(plan, PlanTag::FullScan);
+        assert!((cost - CostModel::default().full_scan(100)).abs() < 1e-9);
+    }
+
+    // -----------------------------------------------------------------
+    // Parallel == serial: workload plans on morsel pools against the
+    // row-at-a-time references.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn chunks_respect_floor_and_alignment() {
+        // Morsels of a hot table are word-aligned row ranges of at least
+        // the requested size (bar the last), tiling the row space; with
+        // frozen blocks they start at block boundaries.
+        for (n, frozen_upto) in [
+            (100usize, 0usize),
+            (10_000, 0),
+            (10_000, 4_096),
+            (10_000, 10_000),
+        ] {
+            let mut t = random_table(n);
+            t.freeze_upto(frozen_upto);
+            for morsel_rows in [1usize, 64, 1_000, 4_096] {
+                let spans = morsel::table_morsels(&t, morsel_rows);
+                let mut next_row = 0;
+                for (i, span) in spans.iter().enumerate() {
+                    let (lo, hi) = match *span {
+                        morsel::Span::Blocks { first, last } => {
+                            (first * t.block_rows(), last * t.block_rows())
+                        }
+                        morsel::Span::Rows { lo, hi } => {
+                            assert_eq!(lo % WORD_BITS, 0, "span start {lo} word-aligned");
+                            if i + 1 < spans.len() {
+                                assert!(hi - lo >= morsel_rows.max(WORD_BITS), "span under floor");
+                            }
+                            (lo, hi)
+                        }
+                    };
+                    assert_eq!(lo, next_row, "spans tile the row space");
+                    next_row = hi;
+                }
+                assert_eq!(next_row, n);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_scan_equals_serial_scan() {
+        let t = random_table(100_000);
+        let pred = RangePredicate::new(2_000, 7_000);
+        let r = run(&Executor::default(), &t, &Q::Range(pred), &Aux::default());
+        assert_eq!(r.row_ids, scalar::range_scan_active(&t, 0, pred));
+    }
+
+    #[test]
+    fn parallel_aggregate_equals_serial_aggregate() {
+        let t = random_table(100_000);
+        let pred = Some(RangePredicate::new(1_000, 9_000));
+        for kind in AggKind::ALL {
+            let (want, _) = scalar::aggregate_active(&t, 0, pred, kind);
+            let got = agg(&Executor::default(), &t, kind, pred, &Aux::default());
+            match (want, got) {
+                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{kind:?}"),
+                (a, b) => assert_eq!(a, b, "{kind:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_tiny_tables() {
+        let ex = Executor::default();
+        let t = Table::new(Schema::single("a"));
+        let r = run(
+            &ex,
+            &t,
+            &Q::Range(RangePredicate::new(0, 10)),
+            &Aux::default(),
+        );
+        assert!(r.row_ids.is_empty());
+        let count = run(
+            &ex,
+            &t,
+            &Q::Aggregate {
+                kind: AggKind::Count,
+                predicate: None,
+            },
+            &Aux::default(),
+        );
+        assert_eq!(count.rows, vec![vec![Scalar::Int(0)]]);
+        assert_eq!(count.stats.rows_scanned, 0);
+
+        let mut tiny = Table::new(Schema::single("a"));
+        tiny.insert_batch(&[5], 0).unwrap();
+        let r = run(
+            &ex,
+            &tiny,
+            &Q::Range(RangePredicate::new(0, 10)),
+            &Aux::default(),
+        );
+        assert_eq!(r.row_ids, vec![RowId(0)]);
+    }
+
+    #[test]
+    fn parallel_compressed_scan_equals_serial() {
+        let t = random_table(100_000);
+        let seg = t.compress_column(0);
+        assert!(seg.frozen_segments() > 8);
+        let pred = RangePredicate::new(2_000, 7_000);
+        let want = scalar::range_scan_active(&t, 0, pred);
+        assert_eq!(kernels::range_scan_compressed(&t, &seg, pred), want);
+        // The same column frozen in place answers identically on every
+        // pool width.
+        let mut frozen = t.clone();
+        frozen.freeze_upto(t.num_rows());
+        let r = run(
+            &Executor::default(),
+            &frozen,
+            &Q::Range(pred),
+            &Aux::default(),
+        );
+        assert_eq!(r.row_ids, want);
+    }
+
+    #[test]
+    fn parallel_tiered_scan_and_aggregate_equal_serial() {
+        let mut t = random_table(100_000);
+        let pred = RangePredicate::new(2_000, 7_000);
+        let want_rows = scalar::range_scan_active(&t, 0, pred);
+        let want_aggs: Vec<_> = AggKind::ALL
+            .iter()
+            .map(|&kind| scalar::aggregate_active(&t, 0, Some(pred), kind))
+            .collect();
+        t.freeze_upto(90_000); // mixed: 87 frozen blocks + hot tail
+        assert!(t.has_frozen());
+        let ex = Executor::default();
+        // Tiering never changes answers.
+        let r = run(&ex, &t, &Q::Range(pred), &Aux::default());
+        assert_eq!(r.row_ids, want_rows);
+        for (kind, (want, want_scanned)) in AggKind::ALL.into_iter().zip(want_aggs) {
+            let q = Q::Aggregate {
+                kind,
+                predicate: Some(pred),
+            };
+            let r = run(&ex, &t, &q, &Aux::default());
+            match (want, r.rows[0][0].as_f64()) {
+                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{kind:?}"),
+                (a, b) => assert_eq!(a, b, "{kind:?}"),
+            }
+            assert!(
+                r.stats.rows_scanned <= want_scanned,
+                "{kind:?}: block meta may only shrink scanned rows"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_join_equals_serial_join() {
+        let mut rng = SimRng::new(31);
+        let mut left = Table::new(Schema::single("k"));
+        let lvals: Vec<i64> = (0..40_000).map(|_| rng.range_i64(0, 2_000)).collect();
+        left.insert_batch(&lvals, 0).unwrap();
+        let mut right = Table::new(Schema::single("k"));
+        let rvals: Vec<i64> = (0..60_000).map(|_| rng.range_i64(0, 2_000)).collect();
+        right.insert_batch(&rvals, 0).unwrap();
+        for _ in 0..10_000 {
+            if let Some(r) = left.random_active(&mut rng) {
+                left.forget(r, 1).unwrap();
+            }
+            if let Some(r) = right.random_active(&mut rng) {
+                right.forget(r, 1).unwrap();
+            }
+        }
+        // COUNT(*) GROUP BY the join key: one output row per key with its
+        // pair count, in first-seen probe order.
+        let plan = PhysicalPlan {
+            scans: vec![PhysScan::default(), PhysScan::default()],
+            join: Some(JoinSpec {
+                left_col: 0,
+                right_col: 0,
+                display: "l.k = r.k".into(),
+            }),
+            items: vec![PhysItem::Aggregate {
+                kind: AggKind::Count,
+                arg: None,
+                display: "count".into(),
+            }],
+            group_by: Some((1, 0, "r.k".into())),
+            order_by: None,
+            limit: None,
+            hint: PlanHint::SyntacticOrder,
+        };
+        let ex = Executor::default();
+        let want = hash_join(&left, 0, &right, 0, ForgetVisibility::ActiveOnly);
+        let hot = run_plan(&ex, &[&left, &right], &[], &plan);
+        assert_eq!(hot.stats.join_pairs, want.stats.output_pairs);
+        let total: i64 = hot.rows.iter().map(|r| r[0].as_int().unwrap()).sum();
+        assert_eq!(total as usize, want.pairs.len());
+        // Frozen sides: morsels at tier boundaries, same pairs.
+        right.freeze_upto(50_000);
+        left.freeze_upto(30_000);
+        assert!(right.has_frozen() && left.has_frozen());
+        let frozen = run_plan(&ex, &[&left, &right], &[], &plan);
+        assert_eq!(frozen.rows, hot.rows);
+        assert_eq!(frozen.stats.join_pairs, want.stats.output_pairs);
+    }
+
+    #[test]
+    fn more_threads_than_rows_is_fine() {
+        let t = random_table(10);
+        let pred = RangePredicate::new(0, 10_000);
+        let plan = PhysicalPlan::from_query(0, &Q::Range(pred));
+        let par = Executor::default()
+            .with_exec_mode(ExecMode::Parallel(128))
+            .execute_plan(&[&t], &[], &plan);
+        assert_eq!(par.row_ids, scalar::range_scan_active(&t, 0, pred));
     }
 }

@@ -11,7 +11,7 @@
 use amnesia_columnar::compress::BlockAgg;
 use amnesia_columnar::{RowId, SegmentedColumn, Table, Value, WordZoneMap};
 use amnesia_util::WORD_BITS;
-use amnesia_workload::query::{AggKind, RangePredicate};
+use amnesia_workload::query::RangePredicate;
 
 use crate::batch;
 use crate::physical::ColPred;
@@ -50,32 +50,6 @@ pub fn range_scan_tiered(
     let stats =
         batch::scan_tiered_active_into(table.col_tier(col), table.activity_words(), pred, &mut out);
     (out, stats)
-}
-
-/// Collect *all* physical rows matching `pred`, forgotten or not — the
-/// "complete scan will fetch all data" path of paper §1.
-pub fn range_scan_all(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
-    let mut out = Vec::new();
-    if table.has_frozen() {
-        batch::scan_tiered_all_into(table.col_tier(col), pred, &mut out);
-    } else {
-        batch::scan_all_into(table.col_values(col), 0, table.num_rows(), pred, &mut out);
-    }
-    out
-}
-
-/// Count active matches without materializing row ids.
-pub fn count_active_matches(table: &Table, col: usize, pred: RangePredicate) -> usize {
-    if table.has_frozen() {
-        return batch::count_tiered_active(table.col_tier(col), table.activity_words(), pred).0;
-    }
-    batch::count_active(
-        table.col_values(col),
-        table.activity_words(),
-        0,
-        table.num_rows(),
-        pred,
-    )
 }
 
 /// Collect active matches restricted to the given physical blocks
@@ -153,35 +127,6 @@ pub fn range_scan_active_zoned(
     (out, stats)
 }
 
-/// Zone-pruned [`count_active_matches`].
-pub fn count_active_matches_zoned(
-    table: &Table,
-    col: usize,
-    zones: &WordZoneMap,
-    pred: RangePredicate,
-) -> (usize, ZoneStats) {
-    debug_assert_eq!(zones.column(), col, "zone map covers a different column");
-    if table.has_frozen() {
-        let (count, ts) =
-            batch::count_tiered_active(table.col_tier(col), table.activity_words(), pred);
-        return (
-            count,
-            ZoneStats {
-                words_pruned: 0,
-                rows_scanned: ts.rows_scanned,
-            },
-        );
-    }
-    batch::count_active_zoned(
-        table.col_values(col),
-        table.activity_words(),
-        zones.zones(),
-        0,
-        table.num_rows(),
-        pred,
-    )
-}
-
 /// Zone-pruned fused filter+aggregate (see
 /// [`batch::aggregate_active_zoned`]).
 pub fn aggregate_state_active_zoned(
@@ -230,17 +175,6 @@ pub fn count_compressed(table: &Table, col: &SegmentedColumn, pred: RangePredica
     batch::count_compressed_active(col, table.activity_words(), pred)
 }
 
-/// Aggregate `col` over active rows matching the optional predicate.
-pub fn aggregate_active(
-    table: &Table,
-    col: usize,
-    pred: Option<RangePredicate>,
-    kind: AggKind,
-) -> (Option<f64>, usize) {
-    let (state, scanned) = aggregate_state_active(table, col, pred);
-    (state.finalize(kind), scanned)
-}
-
 /// Fused filter + aggregate returning the full [`AggState`], so callers
 /// needing several aggregate kinds (COUNT and SUM and AVG…) pay for one
 /// scan instead of one per kind. Tier-aware: frozen blocks fold in
@@ -272,24 +206,6 @@ pub fn aggregate_state_tiered(
     pred: Option<RangePredicate>,
 ) -> (AggState, TierStats) {
     batch::aggregate_tiered_active(table.col_tier(col), table.activity_words(), pred)
-}
-
-/// Aggregate over an explicit row-id list.
-pub fn aggregate_rows(table: &Table, col: usize, rows: &[RowId], kind: AggKind) -> Option<f64> {
-    if table.has_frozen() {
-        let tier = table.col_tier(col);
-        let mut state = AggState::new();
-        for &r in rows {
-            state.push(tier.value_at(r.as_usize()));
-        }
-        return state.finalize(kind);
-    }
-    let values: &[Value] = table.col_values(col);
-    let mut state = AggState::new();
-    for &r in rows {
-        state.push(values[r.as_usize()]);
-    }
-    state.finalize(kind)
 }
 
 // ---------------------------------------------------------------------
@@ -410,6 +326,45 @@ pub fn selection_scan(table: &Table, preds: &[ColPred]) -> (Vec<u64>, TierStats)
         sel[wi] = s;
     }
     (sel, stats)
+}
+
+/// Complete-scan [`selection_scan`]: every physical row passing `preds`,
+/// forgotten or not — the "complete scan will fetch all data" regime of
+/// paper §1. Nothing prunes, since block meta describes active rows
+/// only; frozen blocks still evaluate in codec space, and dropped blocks
+/// (whose values were surrendered) select nothing.
+pub fn selection_scan_all(table: &Table, preds: &[ColPred]) -> Vec<u64> {
+    let n = table.num_rows();
+    let mut sel = vec![0u64; n.div_ceil(WORD_BITS)];
+    let block_nwords = table.block_rows() / WORD_BITS;
+    let mut mask_buf = Vec::new();
+    for b in 0..table.frozen_blocks() {
+        let block_sel = &mut sel[b * block_nwords..(b + 1) * block_nwords];
+        if table.col_tier(0).frozen(b).is_none_or(|f| f.is_dropped()) {
+            continue;
+        }
+        block_sel.fill(!0);
+        for p in preds {
+            let f = table.col_tier(p.col).frozen(b).expect("frozen block");
+            batch::conj_block_masks(f.encoded(), p, &mut mask_buf);
+            for (s, &m) in block_sel.iter_mut().zip(&mask_buf) {
+                *s &= m;
+            }
+        }
+    }
+    let imp = batch::mask_impl();
+    let hot: Vec<(&[Value], usize)> = preds.iter().map(|p| hot_slice(table, p.col)).collect();
+    let hot_start = table.frozen_blocks() * table.block_rows();
+    for (wi, out) in sel.iter_mut().enumerate().skip(hot_start / WORD_BITS) {
+        let base = wi * WORD_BITS;
+        let len = (n - base).min(WORD_BITS);
+        let mut s = u64::MAX >> (WORD_BITS - len);
+        for (p, &(slice, start)) in preds.iter().zip(&hot) {
+            s = batch::conj_word(&slice[base - start..base - start + len], s, p, imp);
+        }
+        *out = s;
+    }
+    sel
 }
 
 /// Per-predicate accounting of the cost-ordered selection scan: how the
@@ -951,7 +906,22 @@ pub(crate) fn aggregate_selection_span(
 mod tests {
     use super::*;
     use amnesia_columnar::Schema;
-    use amnesia_workload::query::RangePredicate as P;
+    use amnesia_workload::query::{AggKind, RangePredicate as P};
+
+    /// The fused aggregate finalized for one kind, with its scan count.
+    fn aggregate_active(
+        table: &Table,
+        col: usize,
+        pred: Option<P>,
+        kind: AggKind,
+    ) -> (Option<f64>, usize) {
+        let (state, scanned) = aggregate_state_active(table, col, pred);
+        (state.finalize(kind), scanned)
+    }
+
+    fn preds(pred: P) -> [ColPred; 1] {
+        [ColPred::from_range(0, pred)]
+    }
 
     fn table() -> Table {
         let mut t = Table::new(Schema::single("a"));
@@ -965,14 +935,29 @@ mod tests {
         let t = table();
         let rows = range_scan_active(&t, 0, P::new(10, 40));
         assert_eq!(rows, vec![RowId(1), RowId(3)]); // 15, 35
-        assert_eq!(count_active_matches(&t, 0, P::new(10, 40)), 2);
+        let (sel, _) = selection_scan(&t, &preds(P::new(10, 40)));
+        assert_eq!(selection_count(&sel), 2);
+        assert_eq!(selection_rows(&sel), rows);
     }
 
     #[test]
     fn full_scan_sees_forgotten() {
         let t = table();
-        let rows = range_scan_all(&t, 0, P::new(10, 40));
-        assert_eq!(rows, vec![RowId(1), RowId(2), RowId(3)]);
+        let sel = selection_scan_all(&t, &preds(P::new(10, 40)));
+        assert_eq!(selection_rows(&sel), vec![RowId(1), RowId(2), RowId(3)]);
+        // Frozen blocks answer the complete scan in codec space.
+        let mut big = Table::new(Schema::single("a"));
+        big.insert_batch(&(0..3_000).collect::<Vec<i64>>(), 0)
+            .unwrap();
+        for r in (0..3_000u64).step_by(3) {
+            big.forget(RowId(r), 1).unwrap();
+        }
+        let want = crate::batch::scalar::range_scan_all(&big, 0, P::new(1_000, 2_500));
+        let flat = selection_rows(&selection_scan_all(&big, &preds(P::new(1_000, 2_500))));
+        big.freeze_upto(2_048);
+        let tiered = selection_rows(&selection_scan_all(&big, &preds(P::new(1_000, 2_500))));
+        assert_eq!(flat, want);
+        assert_eq!(tiered, want);
     }
 
     #[test]
@@ -1023,10 +1008,14 @@ mod tests {
 
     #[test]
     fn aggregate_rows_over_explicit_ids() {
+        // Rows 0 and 5 as a selection: one word with bits 0 and 5 set.
         let t = table();
-        let v = aggregate_rows(&t, 0, &[RowId(0), RowId(5)], AggKind::Sum);
-        assert_eq!(v, Some(60.0));
-        assert_eq!(aggregate_rows(&t, 0, &[], AggKind::Sum), None);
+        let state = aggregate_selection(&t, &[0b10_0001], 0);
+        assert_eq!(state.finalize(AggKind::Sum), Some(60.0));
+        assert_eq!(
+            aggregate_selection(&t, &[0], 0).finalize(AggKind::Sum),
+            None
+        );
     }
 
     #[test]
@@ -1038,8 +1027,8 @@ mod tests {
         let wz = WordZoneMap::build(&t, 0);
         let (rows, _) = range_scan_active_zoned(&t, 0, &wz, pred);
         assert_eq!(rows, want);
-        let (count, _) = count_active_matches_zoned(&t, 0, &wz, pred);
-        assert_eq!(count, want.len());
+        let (sel, _) = selection_scan(&t, &preds(pred));
+        assert_eq!(selection_count(&sel), want.len());
         let (state, _) = aggregate_state_active_zoned(&t, 0, &wz, Some(pred));
         assert_eq!(state.count() as usize, want.len());
 

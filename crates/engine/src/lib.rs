@@ -48,28 +48,27 @@
 //!   query surface lowers onto (tier-aware scans with pushed-down
 //!   predicate conjunctions as 64-bit selection masks, tiered hash
 //!   join, fused/grouped aggregation, projection gather, sort + limit);
-//!   SQL's `BoundQuery::lower()` and the workload driver both target it,
+//!   SQL's `BoundQuery::lower()` and the workload queries'
+//!   [`PhysicalPlan::from_query`] both target it,
 //! * [`morsel`] — the morsel-driven scheduler described above: span
 //!   enumeration, the work-stealing worker pool, and the parallel
 //!   operators with their deterministic merges,
 //! * [`group`] — the vectorized hash group-by kernel, folding `GROUP BY`
 //!   aggregates straight over compressed blocks,
-//! * [`plan`] — a small cost-based planner choosing full scan, zone-map
-//!   pruned scan, or sorted-index probe,
 //! * [`stats`] — block-statistics cardinality estimation: per-column
 //!   pseudo-histograms from cached `BlockMeta`, predicate selectivity,
 //!   codec-aware evaluation costs, and the conjunct ordering the
 //!   executor runs (`selectivity × eval_cost`, ascending),
 //! * [`cost`] — the abstract cost model (hot rows vs. cold fetches,
 //!   per-codec predicate evaluation),
-//! * [`exec`] — the [`exec::Executor`] tying it together (serial or
-//!   [`morsel::ExecMode::Parallel`]) and reporting [`exec::ExecStats`]
+//! * [`exec`] — the [`exec::Executor`] tying it together: its one entry
+//!   point, [`exec::Executor::execute_plan`], picks each scan's access
+//!   path (full or tiered scan, zone-map pruned scan, sorted-index
+//!   probe, word zones) under the [`cost`] model, runs serial or
+//!   [`morsel::ExecMode::Parallel`], and reports [`exec::ExecStats`]
 //!   for every query,
 //! * [`join`] — hash equi-joins with per-visibility answers (the §2.2
 //!   SELECT-PROJECT-JOIN subspace, and §5's referential precision),
-//! * [`parallel`] — std-scoped parallel scan/aggregate kernels over
-//!   word-aligned chunks (free-standing counterparts predating the
-//!   scheduler; their chunking now derives from the same morsel size),
 //! * [`mode`] — forget-visibility modes.
 
 #![warn(missing_docs)]
@@ -83,22 +82,17 @@ pub mod join;
 pub mod kernels;
 pub mod mode;
 pub mod morsel;
-pub mod parallel;
 pub mod physical;
-pub mod plan;
 pub mod stats;
 
 pub use batch::{AggState, BATCH_ROWS};
 pub use cost::CostModel;
 pub use exec::{
-    Aux, ExecResult, ExecStats, Executor, PhysResult, PredStat, QueryOutput, Selection,
-    StageEstimate,
+    Aux, ExecResult, ExecStats, Executor, PhysResult, PredStat, QueryOutput, StageEstimate,
 };
 pub use group::GroupTable;
 pub use join::{hash_join, hash_join_count, JoinResult, JoinStats};
 pub use mode::ForgetVisibility;
 pub use morsel::{ExecMode, SchedStats};
-pub use parallel::{par_aggregate_active, par_range_scan_active};
 pub use physical::{ColPred, PhysItem, PhysScan, PhysicalPlan, PlanHint, Scalar, SortDir};
-pub use plan::{Plan, Planner};
 pub use stats::{estimate_scan_rows, order_predicates, q_error, ColumnStats, PredOrder};

@@ -19,8 +19,8 @@
 //! * **Morsels** (`Span`): contiguous runs of frozen blocks grouped to a
 //!   target row count, then word-aligned chunks over the hot tail (or the
 //!   whole table when nothing is frozen). Block boundaries are a whole
-//!   number of activity words by construction, so the chunking invariant
-//!   of [`crate::parallel`] holds here too.
+//!   number of activity words by construction, so no activity word is
+//!   ever split between two morsels.
 //! * **Scheduling** (`run_morsels`): each worker owns a contiguous range
 //!   of morsel indices behind an atomic cursor; a worker that drains its
 //!   range *steals* single morsels from the most-loaded peer. Steal counts
@@ -161,25 +161,6 @@ pub(crate) fn frozen_block_spans(
         .step_by(per)
         .map(|b| (b, (b + per).min(frozen_blocks)))
         .collect()
-}
-
-/// At most `threads` contiguous runs of frozen blocks, each at least
-/// `min_rows` *rows* (not blocks: a table of many tiny blocks sizes its
-/// chunks from `blocks × block_rows`, the same row-based morsel size the
-/// scheduler uses, so the chunk count never explodes with the block
-/// count).
-pub(crate) fn block_chunks(
-    frozen_blocks: usize,
-    block_rows: usize,
-    threads: usize,
-    min_rows: usize,
-) -> Vec<(usize, usize)> {
-    if frozen_blocks == 0 {
-        return Vec::new();
-    }
-    let total_rows = frozen_blocks * block_rows;
-    let target = min_rows.max(total_rows.div_ceil(threads.max(1)));
-    frozen_block_spans(frozen_blocks, block_rows, target)
 }
 
 /// Word-aligned row chunks of about `target_rows` over `[lo, hi)`.
@@ -733,9 +714,9 @@ mod tests {
 
     #[test]
     fn block_chunks_derive_from_rows_not_block_count() {
-        // 1024 tiny (64-row) blocks = 65536 rows: at a 4096-row floor
+        // 1024 tiny (64-row) blocks = 65536 rows: at a 4096-row morsel
         // that is at most 16 chunks, never 1024.
-        let chunks = block_chunks(1024, 64, 64, 4096);
+        let chunks = frozen_block_spans(1024, 64, 4096);
         assert!(chunks.len() <= 16, "got {}", chunks.len());
         for &(a, b) in &chunks {
             assert!(
@@ -750,7 +731,7 @@ mod tests {
             next = b;
         }
         assert_eq!(next, 1024);
-        assert!(block_chunks(0, 64, 8, 4096).is_empty());
+        assert!(frozen_block_spans(0, 64, 4096).is_empty());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! selection-mask machinery:
 //!
 //! ```text
-//! BoundQuery (SQL)  ──lower()──►  PhysicalPlan  ──execute_plan()──►  rows + ExecStats
-//! workload Query    ──[`ColPred::from_range`]──►  the same scan operator
-//!                     (`Executor::run_scan`) + the same fused AggState folds
+//! BoundQuery (SQL)  ──lower()─────────┐
+//!                                     ├──►  PhysicalPlan  ──execute_plan()──►  rows / row ids + ExecStats
+//! workload Query    ──from_query()────┘
 //! ```
 //!
 //! * **Scan**: each table slot evaluates its predicate conjunction as
@@ -38,7 +38,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use amnesia_columnar::{BlockMeta, Table, Value};
-use amnesia_workload::query::{AggKind, RangePredicate};
+use amnesia_workload::query::{AggKind, Query, RangePredicate};
 
 use crate::batch::AggState;
 use crate::exec::{ExecStats, PlanTag};
@@ -207,8 +207,8 @@ impl ColPred {
 
     /// The half-open [`RangePredicate`] this predicate is equivalent to,
     /// when one exists (not negated, upper bound below the domain edge).
-    /// The single-predicate scan uses it to reach the cost-based
-    /// planner's zone-map / index access paths unchanged.
+    /// A single-predicate scan uses it to reach the range kernels and
+    /// the zone-map / index access paths.
     pub fn as_range(&self) -> Option<RangePredicate> {
         if self.negated {
             return None;
@@ -265,7 +265,7 @@ pub enum SortDir {
 
 /// One table scan of a physical plan: the pushed-down predicate
 /// conjunction, combined at execution time as 64-bit selection masks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PhysScan {
     /// Predicates ANDed over this slot's table.
     pub preds: Vec<ColPred>,
@@ -370,20 +370,46 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
+    /// Lower a workload [`Query`] over column `col` onto a one-scan plan
+    /// run in written order: a range or point query becomes a plan with
+    /// no items, whose selection comes back as
+    /// [`PhysResult::row_ids`](crate::exec::PhysResult::row_ids) — a
+    /// point `v` is the inclusive range `[v, v]`, so `i64::MAX` is
+    /// expressible — and an aggregate becomes the one-item fused
+    /// aggregate over `col`.
+    pub fn from_query(col: usize, query: &Query) -> Self {
+        let (preds, items) = match *query {
+            Query::Range(p) => (vec![ColPred::from_range(col, p)], Vec::new()),
+            Query::Point(v) => (vec![ColPred::range(col, v, v)], Vec::new()),
+            Query::Aggregate { kind, predicate } => (
+                predicate
+                    .map(|p| ColPred::from_range(col, p))
+                    .into_iter()
+                    .collect(),
+                vec![PhysItem::Aggregate {
+                    kind,
+                    arg: Some((0, col)),
+                    display: kind.name().to_string(),
+                }],
+            ),
+        };
+        Self {
+            scans: vec![PhysScan {
+                preds,
+                label: String::new(),
+            }],
+            join: None,
+            items,
+            group_by: None,
+            order_by: None,
+            limit: None,
+            hint: PlanHint::SyntacticOrder,
+        }
+    }
+
     /// Does the plan aggregate (grouped or global)?
     pub fn has_aggregates(&self) -> bool {
         self.group_by.is_some() || self.items.iter().any(PhysItem::is_aggregate)
-    }
-
-    /// The [`PlanTag`] slot `slot`'s scan will report, given its table
-    /// (used for EXPLAIN; execution re-derives it from the actual path
-    /// taken).
-    pub fn scan_tag(&self, table: &Table) -> PlanTag {
-        if table.has_frozen() {
-            PlanTag::TieredScan
-        } else {
-            PlanTag::FullScan
-        }
     }
 
     /// Render the physical operator tree for EXPLAIN. With `tables`
@@ -406,7 +432,7 @@ impl PhysicalPlan {
     fn render(&self, tables: Option<&[&Table]>, stats: Option<&ExecStats>) -> String {
         let tag = |slot: usize| -> String {
             match tables.and_then(|ts| ts.get(slot)) {
-                Some(t) => format!(" plan={}", plan_tag_name(self.scan_tag(t))),
+                Some(t) => format!(" plan={}", plan_tag_name(scan_tag(t))),
                 None => String::new(),
             }
         };
@@ -507,6 +533,16 @@ impl PhysicalPlan {
             ));
         }
         out
+    }
+}
+
+/// The [`PlanTag`] of an unassisted scan of `table`: tier-aware once it
+/// holds frozen blocks.
+pub(crate) fn scan_tag(table: &Table) -> PlanTag {
+    if table.has_frozen() {
+        PlanTag::TieredScan
+    } else {
+        PlanTag::FullScan
     }
 }
 

@@ -104,7 +104,10 @@ pub enum Query {
 }
 
 impl Query {
-    /// The range this query touches, if it has one.
+    /// The range this query touches, if it has one. The half-open form
+    /// cannot express `Point(i64::MAX)`: its range `[MAX, MAX)` comes
+    /// back empty (the executor lowers a point to the inclusive
+    /// `[v, v]` instead).
     pub fn predicate(&self) -> Option<RangePredicate> {
         match self {
             Query::Range(p) => Some(*p),

@@ -15,7 +15,7 @@
 //! | [`distrib`] | `amnesia-distrib` | serial/uniform/normal/zipfian generators, histograms |
 //! | [`columnar`] | `amnesia-columnar` | tables, activity marking, zone maps, indexes, compression, cold storage, summaries, vacuum |
 //! | [`workload`] | `amnesia-workload` | range/point/aggregate query generators, update batches |
-//! | [`engine`] | `amnesia-engine` | executor, planner, joins, cost model, forget-visibility modes |
+//! | [`engine`] | `amnesia-engine` | physical plans and their one executor entry point (`execute_plan`: cost-chosen access paths, morsel parallelism), joins, cost model, forget-visibility modes |
 //! | [`sql`] | `amnesia-sql` | SQL lexer/parser/binder/executor over amnesiac tables |
 //! | [`core`] | `amnesia-core` | policies, budgets, metrics, the simulator, experiments |
 //!

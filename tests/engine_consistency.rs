@@ -2,7 +2,10 @@
 //! and the executor must agree with a naive reference evaluation.
 
 use amnesia::columnar::{SortedIndex, ZoneMap};
-use amnesia::engine::{kernels, Aux, CostModel, Executor, ForgetVisibility};
+use amnesia::engine::{
+    kernels, Aux, ColPred, CostModel, ExecMode, Executor, ForgetVisibility, PhysResult,
+    PhysicalPlan,
+};
 use amnesia::prelude::*;
 use proptest::prelude::*;
 
@@ -24,6 +27,33 @@ fn reference_range(t: &Table, pred: RangePredicate, include_forgotten: bool) -> 
         .filter(|&r| include_forgotten || t.activity().is_active(r))
         .filter(|&r| pred.matches(t.value(0, r)))
         .collect()
+}
+
+/// A workload query over column 0 through `execute_plan` under `vis`:
+/// serially and on a 4-worker pool with 64-row morsels, which must
+/// agree. Returns the serial result.
+fn run(t: &Table, q: &Query, aux: Aux<'_>, vis: ForgetVisibility) -> PhysResult {
+    let plan = PhysicalPlan::from_query(0, q);
+    let ex = Executor::new(vis, CostModel::default()).with_morsel_rows(64);
+    let serial = ex
+        .clone()
+        .with_exec_mode(ExecMode::Serial)
+        .execute_plan(&[t], &[aux], &plan);
+    let par = ex
+        .with_exec_mode(ExecMode::Parallel(4))
+        .execute_plan(&[t], &[aux], &plan);
+    assert_eq!(par.rows, serial.rows, "{q:?}");
+    assert_eq!(par.row_ids, serial.row_ids, "{q:?}");
+    serial
+}
+
+/// A whole-table aggregate through [`run`].
+fn aggregate(t: &Table, kind: AggKind) -> Option<f64> {
+    let q = Query::Aggregate {
+        kind,
+        predicate: None,
+    };
+    run(t, &q, Aux::default(), ForgetVisibility::ActiveOnly).rows[0][0].as_f64()
 }
 
 proptest! {
@@ -59,8 +89,9 @@ proptest! {
         sorted_ref.sort_unstable();
         prop_assert_eq!(probed, sorted_ref);
 
-        // Count-only kernel agrees.
-        prop_assert_eq!(kernels::count_active_matches(&t, 0, pred), reference.len());
+        // The selection count agrees.
+        let (sel, _) = kernels::selection_scan(&t, &[ColPred::from_range(0, pred)]);
+        prop_assert_eq!(kernels::selection_count(&sel), reference.len());
     }
 
     #[test]
@@ -80,26 +111,13 @@ proptest! {
             ..Default::default()
         };
 
-        let active_only = Executor::new(ForgetVisibility::ActiveOnly, CostModel::default());
-        let mut got = active_only
-            .execute(&t, 0, &Query::Range(pred), &aux)
-            .output
-            .rows()
-            .unwrap()
-            .to_vec();
+        let mut got = run(&t, &Query::Range(pred), aux, ForgetVisibility::ActiveOnly).row_ids;
         got.sort_unstable();
         let mut expect = reference_range(&t, pred, false);
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
 
-        let sees_forgotten =
-            Executor::new(ForgetVisibility::ScanSeesForgotten, CostModel::default());
-        let got_all = sees_forgotten
-            .execute(&t, 0, &Query::Range(pred), &aux)
-            .output
-            .rows()
-            .unwrap()
-            .to_vec();
+        let got_all = run(&t, &Query::Range(pred), aux, ForgetVisibility::ScanSeesForgotten).row_ids;
         prop_assert_eq!(got_all, reference_range(&t, pred, true));
     }
 
@@ -111,20 +129,20 @@ proptest! {
         let t = build(&values, &forget);
         let actives: Vec<i64> = t.iter_active().map(|r| t.value(0, r)).collect();
 
-        let (count, _) = kernels::aggregate_active(&t, 0, None, AggKind::Count);
+        let count = aggregate(&t, AggKind::Count);
         prop_assert_eq!(count, Some(actives.len() as f64));
 
-        let (sum, _) = kernels::aggregate_active(&t, 0, None, AggKind::Sum);
+        let sum = aggregate(&t, AggKind::Sum);
         if actives.is_empty() {
             prop_assert_eq!(sum, None);
         } else {
             prop_assert_eq!(sum, Some(actives.iter().sum::<i64>() as f64));
-            let (avg, _) = kernels::aggregate_active(&t, 0, None, AggKind::Avg);
+            let avg = aggregate(&t, AggKind::Avg);
             let expect = actives.iter().sum::<i64>() as f64 / actives.len() as f64;
             prop_assert!((avg.unwrap() - expect).abs() < 1e-9);
-            let (min, _) = kernels::aggregate_active(&t, 0, None, AggKind::Min);
+            let min = aggregate(&t, AggKind::Min);
             prop_assert_eq!(min, Some(*actives.iter().min().unwrap() as f64));
-            let (max, _) = kernels::aggregate_active(&t, 0, None, AggKind::Max);
+            let max = aggregate(&t, AggKind::Max);
             prop_assert_eq!(max, Some(*actives.iter().max().unwrap() as f64));
         }
     }

@@ -1,10 +1,10 @@
 //! Property tests: the word-at-a-time vectorized kernels, the
-//! row-at-a-time scalar references, the parallel kernels, the fused
-//! compressed-block kernels (every codec), and the word-zone-pruned
-//! kernels all compute identical answers — across randomized tables,
-//! forget patterns (none / a quarter / everything), and the
-//! word-boundary sizes where masking bugs live (0, 1, 63, 64, 65, 1023,
-//! 1024, 1025).
+//! row-at-a-time scalar references, `execute_plan` serial and on morsel
+//! pools, the fused compressed-block kernels (every codec), and the
+//! word-zone-pruned kernels all compute identical answers — across
+//! randomized tables, forget patterns (none / a quarter / everything),
+//! and the word-boundary sizes where masking bugs live (0, 1, 63, 64, 65,
+//! 1023, 1024, 1025).
 
 use amnesia::columnar::compress::{block_decodes, Encoding};
 use amnesia::columnar::vacuum::vacuum;
@@ -12,15 +12,113 @@ use amnesia::columnar::{SegmentedColumn, WordZoneMap};
 use amnesia::engine::batch::{self, scalar};
 use amnesia::engine::join::{hash_join, hash_join_count};
 use amnesia::engine::kernels;
-use amnesia::engine::parallel::{
-    par_aggregate_active, par_hash_join, par_range_scan_active, par_range_scan_compressed,
-};
-use amnesia::engine::ForgetVisibility;
+use amnesia::engine::{Aux, CostModel, ForgetVisibility, PhysResult, Scalar};
 use amnesia::prelude::*;
 use amnesia::workload::query::RangePredicate;
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 64];
+
+/// Run `plan` through `execute_plan` under visibility `vis`: serially,
+/// then on a small-morsel pool of every width in [`THREAD_COUNTS`].
+/// Every mode must return the same output; returns the serial result.
+fn run_plan(
+    tables: &[&Table],
+    aux: Aux<'_>,
+    plan: &PhysicalPlan,
+    vis: ForgetVisibility,
+) -> PhysResult {
+    let ex = Executor::new(vis, CostModel::default()).with_morsel_rows(SMALL_MORSEL);
+    let serial = ex
+        .clone()
+        .with_exec_mode(ExecMode::Serial)
+        .execute_plan(tables, &[aux], plan);
+    for threads in THREAD_COUNTS {
+        let par = ex
+            .clone()
+            .with_exec_mode(ExecMode::Parallel(threads))
+            .execute_plan(tables, &[aux], plan);
+        assert_eq!(par.row_ids, serial.row_ids, "row ids at {threads} threads");
+        assert_eq!(par.rows, serial.rows, "rows at {threads} threads");
+    }
+    serial
+}
+
+/// A workload query over column 0 of `t` through [`run_plan`].
+fn run_query(t: &Table, aux: Aux<'_>, q: &Query, vis: ForgetVisibility) -> PhysResult {
+    run_plan(&[t], aux, &PhysicalPlan::from_query(0, q), vis)
+}
+
+/// Active rows matching `pred`, through `execute_plan`.
+fn plan_scan(t: &Table, pred: RangePredicate) -> Vec<RowId> {
+    run_query(
+        t,
+        Aux::default(),
+        &Query::Range(pred),
+        ForgetVisibility::ActiveOnly,
+    )
+    .row_ids
+}
+
+/// A workload aggregate through `execute_plan`, with its scan count.
+fn plan_agg(t: &Table, kind: AggKind, predicate: Option<RangePredicate>) -> (Option<f64>, usize) {
+    let q = Query::Aggregate { kind, predicate };
+    let r = run_query(t, Aux::default(), &q, ForgetVisibility::ActiveOnly);
+    (r.rows[0][0].as_f64(), r.stats.rows_scanned)
+}
+
+fn assert_close(want: Option<f64>, got: Option<f64>, ctx: &str) {
+    match (want, got) {
+        (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{ctx}: {a} vs {b}"),
+        (a, b) => assert_eq!(a, b, "{ctx}"),
+    }
+}
+
+/// The equi-join `left.0 = right.0` projecting both keys, through
+/// [`run_plan`] (active-only, written order: build on `left`).
+fn plan_join_keys(left: &Table, right: &Table) -> Vec<Vec<Scalar>> {
+    let plan = PhysicalPlan {
+        scans: vec![PhysScan::default(), PhysScan::default()],
+        join: Some(JoinSpec {
+            left_col: 0,
+            right_col: 0,
+            display: "l.k = r.k".into(),
+        }),
+        items: (0..2)
+            .map(|slot| PhysItem::Column {
+                slot,
+                col: 0,
+                display: format!("k{slot}"),
+            })
+            .collect(),
+        group_by: None,
+        order_by: None,
+        limit: None,
+        hint: PlanHint::SyntacticOrder,
+    };
+    let r = run_plan(
+        &[left, right],
+        Aux::default(),
+        &plan,
+        ForgetVisibility::ActiveOnly,
+    );
+    assert_eq!(r.stats.join_pairs, r.rows.len());
+    r.rows
+}
+
+/// The keys of join `pairs`, in pair order — what [`plan_join_keys`]
+/// returns for the same join.
+fn pair_keys(left: &Table, right: &Table, pairs: &[(RowId, RowId)]) -> Vec<Vec<Scalar>> {
+    pairs
+        .iter()
+        .map(|&(l, r)| {
+            vec![
+                Scalar::Int(left.value(0, l)),
+                Scalar::Int(right.value(0, r)),
+            ]
+        })
+        .collect()
+}
 
 /// How much of the table a forget pattern erases.
 #[derive(Debug, Clone, Copy)]
@@ -63,52 +161,51 @@ fn build_table(values: &[i64], pattern: ForgetPattern, seed: u64) -> Table {
 }
 
 fn assert_all_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
-    // Scans: vectorized == scalar == parallel (all thread counts).
+    // Scans: vectorized == scalar == execute_plan (serial and every pool
+    // width).
     let vectorized = kernels::range_scan_active(t, 0, pred);
     let reference = scalar::range_scan_active(t, 0, pred);
     assert_eq!(vectorized, reference, "scan {ctx}");
-    for threads in THREAD_COUNTS {
-        let par = par_range_scan_active(t, 0, pred, threads);
-        assert_eq!(par, reference, "par scan threads={threads} {ctx}");
-    }
+    assert_eq!(plan_scan(t, pred), reference, "plan scan {ctx}");
 
     // Full (forgotten-inclusive) scan.
+    let all = run_query(
+        t,
+        Aux::default(),
+        &Query::Range(pred),
+        ForgetVisibility::ScanSeesForgotten,
+    );
     assert_eq!(
-        kernels::range_scan_all(t, 0, pred),
+        all.row_ids,
         scalar::range_scan_all(t, 0, pred),
         "scan-all {ctx}"
     );
 
-    // Count-only kernel.
+    // Selection count.
+    let (sel, _) = kernels::selection_scan(t, &[ColPred::from_range(0, pred)]);
     assert_eq!(
-        kernels::count_active_matches(t, 0, pred),
-        scalar::count_active_matches(t, 0, pred),
-        "count {ctx}"
-    );
-    assert_eq!(
-        kernels::count_active_matches(t, 0, pred),
+        kernels::selection_count(&sel),
         reference.len(),
         "count==scan-len {ctx}"
     );
 
     // Aggregates: every kind, with and without the predicate.
     for predicate in [None, Some(pred)] {
+        let (state, got_scanned) = kernels::aggregate_state_active(t, 0, predicate);
         for kind in AggKind::ALL {
             let (want, want_scanned) = scalar::aggregate_active(t, 0, predicate, kind);
-            let (got, got_scanned) = kernels::aggregate_active(t, 0, predicate, kind);
-            assert_eq!(got, want, "agg {kind:?} pred={predicate:?} {ctx}");
+            assert_eq!(
+                state.finalize(kind),
+                want,
+                "agg {kind:?} pred={predicate:?} {ctx}"
+            );
             assert_eq!(got_scanned, want_scanned, "agg scanned {kind:?} {ctx}");
-            for threads in THREAD_COUNTS {
-                let (par, par_scanned) = par_aggregate_active(t, 0, predicate, kind, threads);
-                match (want, par) {
-                    (Some(a), Some(b)) => assert!(
-                        (a - b).abs() < 1e-9,
-                        "par agg {kind:?} threads={threads} {ctx}: {a} vs {b}"
-                    ),
-                    (a, b) => assert_eq!(a, b, "par agg {kind:?} threads={threads} {ctx}"),
-                }
-                assert_eq!(par_scanned, want_scanned, "par agg scanned {kind:?} {ctx}");
-            }
+            let (plan, plan_scanned) = plan_agg(t, kind, predicate);
+            assert_close(want, plan, &format!("plan agg {kind:?} {ctx}"));
+            assert_eq!(
+                plan_scanned, want_scanned,
+                "plan agg scanned {kind:?} {ctx}"
+            );
         }
     }
 
@@ -157,11 +254,26 @@ fn assert_compressed_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
             reference.len(),
             "compressed count {tag} {ctx}"
         );
-        for threads in THREAD_COUNTS {
+    }
+    // The same codecs frozen in place: execute_plan (serial and every
+    // pool width) scans them in compressed space.
+    for block_rows in [64usize, 1024] {
+        for enc in Encoding::ALL.map(Some).into_iter().chain([None]) {
+            let mut frozen = Table::with_block_rows(Schema::single("a"), block_rows);
+            frozen.pin_encoding(0, enc);
+            if !values.is_empty() {
+                frozen.insert_batch(values, 0).unwrap();
+            }
+            for r in (0..t.num_rows()).map(RowId::from) {
+                if !t.activity().is_active(r) {
+                    frozen.forget(r, 1).unwrap();
+                }
+            }
+            frozen.freeze_upto(frozen.num_rows());
             assert_eq!(
-                par_range_scan_compressed(t, seg, pred, threads),
+                plan_scan(&frozen, pred),
                 reference,
-                "par compressed {tag} threads={threads} {ctx}"
+                "plan frozen {enc:?}@{block_rows} {ctx}"
             );
         }
     }
@@ -174,8 +286,12 @@ fn assert_zoned_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
     let wz = WordZoneMap::build(t, 0);
     let (rows, _) = kernels::range_scan_active_zoned(t, 0, &wz, pred);
     assert_eq!(rows, reference, "zoned scan {ctx}");
-    let (count, _) = kernels::count_active_matches_zoned(t, 0, &wz, pred);
-    assert_eq!(count, reference.len(), "zoned count {ctx}");
+    let aux = Aux {
+        word_zones: Some(&wz),
+        ..Default::default()
+    };
+    let zoned = run_query(t, aux, &Query::Range(pred), ForgetVisibility::ActiveOnly);
+    assert_eq!(zoned.row_ids, reference, "plan zoned scan {ctx}");
     for predicate in [None, Some(pred)] {
         let (state, zs) = kernels::aggregate_state_active_zoned(t, 0, &wz, predicate);
         for kind in AggKind::ALL {
@@ -261,42 +377,39 @@ fn assert_tiered_equals_flat(
     );
     let (rows, _) = kernels::range_scan_tiered(tiered, 0, pred);
     assert_eq!(rows, reference, "tiered scan+stats {ctx}");
+    let (sel, _) = kernels::selection_scan(tiered, &[ColPred::from_range(0, pred)]);
     assert_eq!(
-        kernels::count_active_matches(tiered, 0, pred),
+        kernels::selection_count(&sel),
         reference.len(),
         "tiered count {ctx}"
     );
-    for threads in THREAD_COUNTS {
-        assert_eq!(
-            par_range_scan_active(tiered, 0, pred, threads),
-            reference,
-            "par tiered scan threads={threads} {ctx}"
-        );
-    }
+    assert_eq!(plan_scan(tiered, pred), reference, "plan tiered scan {ctx}");
     for predicate in [None, Some(pred)] {
+        let (state, got_scanned) = kernels::aggregate_state_active(tiered, 0, predicate);
         for kind in AggKind::ALL {
             let (want, want_scanned) = scalar::aggregate_active(flat, 0, predicate, kind);
-            let (got, got_scanned) = kernels::aggregate_active(tiered, 0, predicate, kind);
-            assert_eq!(got, want, "tiered agg {kind:?} pred={predicate:?} {ctx}");
+            assert_eq!(
+                state.finalize(kind),
+                want,
+                "tiered agg {kind:?} pred={predicate:?} {ctx}"
+            );
             assert!(
                 got_scanned <= want_scanned,
                 "tiered agg may only shrink work {ctx}"
             );
-            for threads in THREAD_COUNTS {
-                let (par, _) = par_aggregate_active(tiered, 0, predicate, kind, threads);
-                match (want, par) {
-                    (Some(a), Some(b)) => assert!(
-                        (a - b).abs() < 1e-9,
-                        "par tiered agg {kind:?} threads={threads} {ctx}: {a} vs {b}"
-                    ),
-                    (a, b) => assert_eq!(a, b, "par tiered agg {kind:?} {ctx}"),
-                }
-            }
+            let (plan, _) = plan_agg(tiered, kind, predicate);
+            assert_close(want, plan, &format!("plan tiered agg {kind:?} {ctx}"));
         }
     }
     if scan_all_comparable {
+        let all = run_query(
+            tiered,
+            Aux::default(),
+            &Query::Range(pred),
+            ForgetVisibility::ScanSeesForgotten,
+        );
         assert_eq!(
-            kernels::range_scan_all(tiered, 0, pred),
+            all.row_ids,
             scalar::range_scan_all(flat, 0, pred),
             "tiered scan-all {ctx}"
         );
@@ -323,13 +436,11 @@ fn assert_tiered_join_equals_flat(tiered: &Table, flat: &Table, ctx: &str) {
         want.stats.output_pairs,
         "tiered join count {ctx}"
     );
-    for threads in THREAD_COUNTS {
-        let par = par_hash_join(tiered, 0, tiered, 0, ForgetVisibility::ActiveOnly, threads);
-        assert_eq!(
-            par.pairs, want.pairs,
-            "par tiered join threads={threads} {ctx}"
-        );
-    }
+    assert_eq!(
+        plan_join_keys(tiered, tiered),
+        pair_keys(flat, flat, &want.pairs),
+        "plan tiered join {ctx}"
+    );
 }
 
 /// Randomized freeze/forget/thaw/drop/recompress/vacuum/query
@@ -511,13 +622,11 @@ fn tiered_join_equals_dense_join_across_codecs() {
                 want.stats.output_pairs,
                 "{ctx} {stage} count"
             );
-            for threads in THREAD_COUNTS {
-                assert_eq!(
-                    par_hash_join(parent, 0, child, 0, ForgetVisibility::ActiveOnly, threads).pairs,
-                    want.pairs,
-                    "{ctx} {stage} par threads={threads}"
-                );
-            }
+            assert_eq!(
+                plan_join_keys(parent, child),
+                pair_keys(flat_parent, flat_child, &want.pairs),
+                "{ctx} {stage} plan"
+            );
         };
 
         // Hot × hot (sanity), then every frozen combination.

@@ -10,7 +10,7 @@
 //! decodes.
 
 use amnesia::columnar::compress::{block_decodes, Encoding};
-use amnesia::engine::kernels;
+use amnesia::engine::{kernels, ColPred};
 use amnesia::prelude::*;
 use amnesia::sql::plan::{BoundFilter, BoundItem, Catalog as SqlCatalog};
 use amnesia::sql::{bind, parse, run, Datum, QueryOutcome, Statement};
@@ -52,7 +52,8 @@ fn sql_count_matches_engine_kernel() {
     let (db, _) = build(&values, &[1, 5, 9, 13, 200, 201, 499]);
     let table = db.table(db.table_id("t").unwrap());
     for (lo, hi) in [(0i64, 100i64), (250, 750), (990, 1000), (500, 500)] {
-        let engine_count = kernels::count_active_matches(table, 0, RangePredicate::new(lo, hi));
+        let pred = [ColPred::from_range(0, RangePredicate::new(lo, hi))];
+        let engine_count = kernels::selection_count(&kernels::selection_scan(table, &pred).0);
         // SQL BETWEEN is inclusive: [lo, hi-1] == [lo, hi).
         let sql = format!("SELECT COUNT(*) FROM t WHERE a BETWEEN {lo} AND {}", hi - 1);
         assert_eq!(
@@ -68,8 +69,8 @@ fn sql_avg_matches_engine_kernel() {
     let values: Vec<i64> = (0..300).map(|i| (i * 13) % 777).collect();
     let (db, _) = build(&values, &[2, 4, 8, 16, 32, 64, 128, 256]);
     let table = db.table(db.table_id("t").unwrap());
-    let (engine_avg, _) =
-        kernels::aggregate_active(table, 0, Some(RangePredicate::new(100, 600)), AggKind::Avg);
+    let (state, _) = kernels::aggregate_state_active(table, 0, Some(RangePredicate::new(100, 600)));
+    let engine_avg = state.finalize(AggKind::Avg);
     match sql_scalar(&db, "SELECT AVG(a) FROM t WHERE a BETWEEN 100 AND 599") {
         Datum::Float(v) => {
             let expected = engine_avg.unwrap();

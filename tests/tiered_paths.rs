@@ -20,9 +20,14 @@
 
 use amnesia::columnar::vacuum::vacuum;
 use amnesia::columnar::{Database, Imprints, SortedIndex, WordZoneMap, ZoneMap};
+use amnesia::engine::batch::scalar;
 use amnesia::engine::exec::PlanTag;
 use amnesia::engine::join::{hash_join, hash_join_count, join_precision};
-use amnesia::engine::{kernels, parallel, Aux, CostModel, Executor, ForgetVisibility};
+use amnesia::engine::physical::JoinSpec;
+use amnesia::engine::{
+    kernels, Aux, ColPred, CostModel, ExecMode, Executor, ForgetVisibility, PhysItem, PhysResult,
+    PhysScan, PhysicalPlan, PlanHint, Scalar,
+};
 use amnesia::prelude::*;
 use amnesia::sql;
 use amnesia::workload::query::RangePredicate;
@@ -46,6 +51,57 @@ fn half_frozen_pair() -> (Table, Table) {
     (tiered, flat)
 }
 
+/// Run `plan` serially and on 3- and 8-worker pools with small morsels;
+/// every mode must agree. Returns the serial result.
+fn run_plan(ex: &Executor, tables: &[&Table], aux: Aux<'_>, plan: &PhysicalPlan) -> PhysResult {
+    let serial = ex
+        .clone()
+        .with_exec_mode(ExecMode::Serial)
+        .execute_plan(tables, &[aux], plan);
+    for threads in [3usize, 8] {
+        let par = ex
+            .clone()
+            .with_exec_mode(ExecMode::Parallel(threads))
+            .with_morsel_rows(256)
+            .execute_plan(tables, &[aux], plan);
+        assert_eq!(par.rows, serial.rows, "{threads} threads");
+        assert_eq!(par.row_ids, serial.row_ids, "{threads} threads");
+        assert_eq!(par.stats.plan, serial.stats.plan, "{threads} threads");
+    }
+    serial
+}
+
+/// The equi-join `left.0 = right.0` projecting both keys.
+fn join_plan() -> PhysicalPlan {
+    PhysicalPlan {
+        scans: vec![PhysScan::default(), PhysScan::default()],
+        join: Some(JoinSpec {
+            left_col: 0,
+            right_col: 0,
+            display: "l.a = r.a".into(),
+        }),
+        items: (0..2)
+            .map(|slot| PhysItem::Column {
+                slot,
+                col: 0,
+                display: format!("a{slot}"),
+            })
+            .collect(),
+        group_by: None,
+        order_by: None,
+        limit: None,
+        hint: PlanHint::SyntacticOrder,
+    }
+}
+
+/// The keys of join `pairs` over `t`, in pair order.
+fn pair_keys(t: &Table, pairs: &[(RowId, RowId)]) -> Vec<Vec<Scalar>> {
+    pairs
+        .iter()
+        .map(|&(l, r)| vec![Scalar::Int(t.value(0, l)), Scalar::Int(t.value(0, r))])
+        .collect()
+}
+
 #[test]
 fn every_kernel_path_survives_a_half_frozen_table() {
     let (tiered, flat) = half_frozen_pair();
@@ -55,28 +111,27 @@ fn every_kernel_path_survives_a_half_frozen_table() {
     // Serial kernels.
     assert_eq!(kernels::range_scan_active(&tiered, 0, pred), want_rows);
     assert_eq!(kernels::range_scan_tiered(&tiered, 0, pred).0, want_rows);
+    let preds = [ColPred::from_range(0, pred)];
     assert_eq!(
-        kernels::range_scan_all(&tiered, 0, pred),
-        kernels::range_scan_all(&flat, 0, pred)
+        kernels::selection_scan_all(&tiered, &preds),
+        kernels::selection_scan_all(&flat, &preds)
     );
-    assert_eq!(
-        kernels::count_active_matches(&tiered, 0, pred),
-        want_rows.len()
-    );
+    let (sel, _) = kernels::selection_scan(&tiered, &preds);
+    assert_eq!(kernels::selection_count(&sel), want_rows.len());
     let blocks: Vec<usize> = (0..6).collect();
     assert_eq!(
         kernels::range_scan_blocks(&tiered, 0, pred, &blocks, 1024),
         kernels::range_scan_blocks(&flat, 0, pred, &blocks, 1024)
     );
     assert_eq!(
-        kernels::aggregate_rows(&tiered, 0, &want_rows, AggKind::Sum),
-        kernels::aggregate_rows(&flat, 0, &want_rows, AggKind::Sum)
+        kernels::aggregate_selection(&tiered, &sel, 0).sum(),
+        kernels::aggregate_selection(&flat, &sel, 0).sum()
     );
     for predicate in [None, Some(pred)] {
+        let (got, _) = kernels::aggregate_state_active(&tiered, 0, predicate);
         for kind in AggKind::ALL {
-            let (want, _) = kernels::aggregate_active(&flat, 0, predicate, kind);
-            let (got, _) = kernels::aggregate_active(&tiered, 0, predicate, kind);
-            assert_eq!(got, want, "{kind:?} {predicate:?}");
+            let (want, _) = scalar::aggregate_active(&flat, 0, predicate, kind);
+            assert_eq!(got.finalize(kind), want, "{kind:?} {predicate:?}");
         }
         let (state, _) = kernels::aggregate_state_tiered(&tiered, 0, predicate);
         let (want_state, _) = kernels::aggregate_state_active(&flat, 0, predicate);
@@ -91,13 +146,10 @@ fn every_kernel_path_survives_a_half_frozen_table() {
         kernels::range_scan_active_zoned(&tiered, 0, &wz, pred).0,
         want_rows
     );
-    assert_eq!(
-        kernels::count_active_matches_zoned(&tiered, 0, &wz, pred).0,
-        want_rows.len()
-    );
     let (zstate, _) = kernels::aggregate_state_active_zoned(&tiered, 0, &wz, Some(pred));
     let (want_state, _) = kernels::aggregate_state_active(&flat, 0, Some(pred));
     assert_eq!(zstate.count(), want_state.count());
+    assert_eq!(zstate.count() as usize, want_rows.len());
 
     // Compressed-snapshot kernels materialize via the tier-aware dense
     // path, never the flat slice.
@@ -111,32 +163,30 @@ fn every_kernel_path_survives_a_half_frozen_table() {
         want_rows.len()
     );
 
-    // Parallel kernels chunk at tier boundaries.
-    for threads in [1usize, 3, 8] {
-        assert_eq!(
-            parallel::par_range_scan_active(&tiered, 0, pred, threads),
-            want_rows
+    // Morsel-parallel plans split at tier boundaries.
+    let ex = Executor::default();
+    let scan = run_plan(
+        &ex,
+        &[&tiered],
+        Aux::default(),
+        &PhysicalPlan::from_query(0, &EngineQuery::Range(pred)),
+    );
+    assert_eq!(scan.row_ids, want_rows);
+    for kind in AggKind::ALL {
+        let (want, _) = scalar::aggregate_active(&flat, 0, Some(pred), kind);
+        let q = EngineQuery::Aggregate {
+            kind,
+            predicate: Some(pred),
+        };
+        let got = run_plan(
+            &ex,
+            &[&tiered],
+            Aux::default(),
+            &PhysicalPlan::from_query(0, &q),
         );
-        assert_eq!(
-            parallel::par_range_scan_tiered(&tiered, 0, pred, threads),
-            want_rows
-        );
-        assert_eq!(
-            parallel::par_range_scan_compressed(&tiered, &seg, pred, threads),
-            want_rows
-        );
-        for kind in AggKind::ALL {
-            let (want, _) = kernels::aggregate_active(&flat, 0, Some(pred), kind);
-            let (got, _) = parallel::par_aggregate_active(&tiered, 0, Some(pred), kind, threads);
-            match (want, got) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{kind:?}"),
-                (a, b) => assert_eq!(a, b, "{kind:?}"),
-            }
-            let (got, _) = parallel::par_aggregate_tiered(&tiered, 0, Some(pred), kind, threads);
-            match (want, got) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{kind:?}"),
-                (a, b) => assert_eq!(a, b, "{kind:?}"),
-            }
+        match (want, got.rows[0][0].as_f64()) {
+            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{kind:?}"),
+            (a, b) => assert_eq!(a, b, "{kind:?}"),
         }
     }
 }
@@ -190,40 +240,38 @@ fn every_executor_path_survives_a_half_frozen_table() {
     ] {
         let ex = Executor::new(mode, CostModel::default());
         for q in &queries {
-            let want = ex.execute(&flat, 0, q, &Aux::default());
+            let plan = PhysicalPlan::from_query(0, q);
+            let want = run_plan(&ex, &[&flat], Aux::default(), &plan);
             for (i, aux) in auxes.iter().enumerate() {
-                let got = ex.execute(&tiered, 0, q, aux);
-                match (&got.output, &want.output) {
-                    // An index probe returns value order where scans
-                    // return insertion order; the *set* must agree.
-                    (
-                        amnesia::engine::QueryOutput::Rows(g),
-                        amnesia::engine::QueryOutput::Rows(w),
-                    ) => {
-                        let mut g = g.clone();
-                        let mut w = w.clone();
-                        g.sort();
-                        w.sort();
-                        assert_eq!(g, w, "{mode:?} {q:?} aux#{i}");
-                    }
-                    (g, w) => assert_eq!(g, w, "{mode:?} {q:?} aux#{i}"),
-                }
+                let got = run_plan(&ex, &[&tiered], *aux, &plan);
+                assert_eq!(got.rows, want.rows, "{mode:?} {q:?} aux#{i}");
+                // An index probe returns value order where scans return
+                // insertion order; the *set* must agree.
+                let mut g = got.row_ids.clone();
+                let mut w = want.row_ids.clone();
+                g.sort();
+                w.sort();
+                assert_eq!(g, w, "{mode:?} {q:?} aux#{i}");
             }
         }
     }
 
     // The join surface: executor-level stats and the raw kernels.
     let ex = Executor::default();
-    let (r, stats) = ex.execute_join(&tiered, 0, &flat, 0);
     let want = hash_join(&flat, 0, &flat, 0, ForgetVisibility::ActiveOnly);
-    assert_eq!(r.pairs, want.pairs, "frozen build side");
-    assert_eq!(stats.plan, PlanTag::TieredJoin);
-    assert_eq!(stats.result_rows, want.stats.output_pairs);
-    let (r2, stats2) = ex.execute_join(&flat, 0, &tiered, 0);
-    assert_eq!(r2.pairs, want.pairs, "frozen probe side");
-    assert_eq!(stats2.plan, PlanTag::TieredJoin);
-    let (_, flat_stats) = ex.execute_join(&flat, 0, &flat, 0);
-    assert_eq!(flat_stats.plan, PlanTag::FullScan, "hot join is not tiered");
+    let r = run_plan(&ex, &[&tiered, &flat], Aux::default(), &join_plan());
+    assert_eq!(r.rows, pair_keys(&flat, &want.pairs), "frozen build side");
+    assert_eq!(r.stats.plan, PlanTag::TieredJoin);
+    assert_eq!(r.stats.result_rows, want.stats.output_pairs);
+    let r2 = run_plan(&ex, &[&flat, &tiered], Aux::default(), &join_plan());
+    assert_eq!(r2.rows, pair_keys(&flat, &want.pairs), "frozen probe side");
+    assert_eq!(r2.stats.plan, PlanTag::TieredJoin);
+    let flat_join = run_plan(&ex, &[&flat, &flat], Aux::default(), &join_plan());
+    assert_eq!(
+        flat_join.stats.plan,
+        PlanTag::FullScan,
+        "hot join is not tiered"
+    );
     assert_eq!(
         hash_join_count(&tiered, 0, &tiered, 0, ForgetVisibility::ActiveOnly),
         want.stats.output_pairs
